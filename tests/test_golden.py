@@ -1,0 +1,95 @@
+"""Golden trajectory digests: the CSV and summary.json bytes of fixed runs.
+
+Each case is one ``run_experiment`` call with every input fixed (game,
+adversary, horizons, seeds, eta, gamma, checkpoints).  Its digest is the
+SHA-256 over the bytes of every CSV it writes, in ``csv_paths`` order, then
+of ``summary.json``.  A refactor that changes any draw, any summation order
+or any formatting of the output changes a digest.
+
+To regenerate after an intended output change, run
+``python tests/test_golden.py`` and paste the printed table.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from pmsim import ExperimentConfig, run_experiment
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+# horizon 60 is not a checkpoint; the list is unsorted, repeats 10 and runs past T
+CHECKPOINTS = [200, 10, 50, 10, 500]
+
+CASES = {
+    **{f"{game}-{adv}": dict(game=game, adversary=adv, horizons=[60, 200], seeds=2,
+                             checkpoints=CHECKPOINTS)
+       for game in ("bandit_mp", "bandit_mp_random", "apple_tasting", "full_info_3x3")
+       for adv in ("uniform", "adaptive")},
+    "iid": dict(game="bandit_mp_random", adversary="iid:0.3,0.7", horizons=[150],
+                seeds=[4, 9], checkpoints=[75, 150]),
+    "fixed": dict(game="apple_tasting", adversary="fixed:" + ",".join("01101"[t % 5]
+                                                                      for t in range(120)),
+                  horizons=[40, 120], seeds=1, checkpoints=[40, 120]),
+    "eta-gamma": dict(game="bandit_mp", adversary="adaptive:16", horizons=[100, 300],
+                      seeds=[2], eta=0.05, gamma=0.1, checkpoints=[100, 300]),
+    "every-round": dict(game="full_info_3x3", adversary="adaptive", horizons=[250],
+                        seeds=[0, 1]),
+    # run from the data directory so that summary.json records the bare file name
+    "voronoi-n16": dict(game="voronoi_n16.json", adversary="adaptive", horizons=[60],
+                        seeds=1, checkpoints=[1, 30, 60]),
+}
+
+DIGESTS = {
+    "bandit_mp-uniform":
+        "5aa92df360fcc202a01a8fd5d9e4413ef76ae2f1655489352cd3805422a27d42",
+    "bandit_mp-adaptive":
+        "7e4484c9ffed8961636463beca2f7360a30265fc71dee5d85ebf3b07f1c5c6a7",
+    "bandit_mp_random-uniform":
+        "b8c3824018f04b958772abf215c70e981a0977ccb558c53dba883f61d97ea3e0",
+    "bandit_mp_random-adaptive":
+        "2f887d89bcfd72864518ee108ffcc24c1d31afa746ba7e75bcb257b9db0082c5",
+    "apple_tasting-uniform":
+        "c4215b3022b2f0e867cf4436b7bcd3f9f6332d684891a34d8b1064afabefc77c",
+    "apple_tasting-adaptive":
+        "7027198f864699f0ed0f66e40965138a09cc8161b5860e8c239ee11b51fa08b8",
+    "full_info_3x3-uniform":
+        "d9ce335e4f4e922518d286b77519d02735e4551cd92ec7ba4438b107a186f537",
+    "full_info_3x3-adaptive":
+        "6b743accad3ad08d7463a2cb9c2c7f9fe63cbab1d9f6998848eba360b28fb3c5",
+    "iid":
+        "2911a63fcdcaa5345d4af930529eac60e9582ab9b1e679af2768a9c9cc540394",
+    "fixed":
+        "3b1bef78651cd5d263f9d7dec89f10e0d27867794936e3734990c9a947e16162",
+    "eta-gamma":
+        "d93b5756d2ca4b6ade473268bd09735ed1ae25ba6df975486e8ebf7c716b2b0a",
+    "every-round":
+        "86bcb00ecb0156cafe7096203fc10c104771f78e6389467c88d85d11a62001b6",
+    "voronoi-n16":
+        "78f88af09d49cb2e7c6f8d578e85a55f8e89945c6ce53a030587823c53fbb494",
+}
+
+
+def run_digest(name: str, out_dir: str) -> str:
+    result = run_experiment(ExperimentConfig(**CASES[name], out_dir=out_dir))
+    h = hashlib.sha256()
+    for path in result.csv_paths + [result.summary_path]:
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(DATA)
+    assert run_digest(name, str(tmp_path)) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.chdir(DATA)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CASES:
+            print(f'    "{name}":\n        "{run_digest(name, os.path.join(tmp, name))}",')
