@@ -8,7 +8,7 @@ the experiment harness (`harness`).
 """
 
 from .adversaries import AdaptiveWorst, FixedSequence, IID
-from .engine import Engine, EngineConfig, TranscriptRow, auto_eta, auto_gamma, fixed_point, run
+from .engine import Engine, EngineConfig, Transcript, auto_eta, auto_gamma, fixed_point, run
 from .errors import (
     DegenerateGameError,
     DominatedActionError,
@@ -37,26 +37,19 @@ from .harness import (
     run_experiment,
 )
 from .observability import ObservabilityReport, ObserverVector, check_game, solve_observer
-from .regret import (
-    RegretReport,
-    external_regret,
-    internal_regret,
-    local_internal_regret,
-    regret_report,
-    theorem_bound,
-)
+from .regret import RegretCurves, RegretReport, regret_curves, regret_report, theorem_bound
 
 __all__ = [
     "AdaptiveWorst", "CatalogEntry", "DegenerateGameError", "DominatedActionError",
     "Engine", "EngineConfig", "ExperimentConfig", "FixedPointError", "FixedSequence",
     "Game", "GameFormatError", "IID", "NeighborhoodGraph", "NotLocallyObservableError",
-    "ObservabilityReport", "ObserverVector", "PmsimError", "RegretReport",
-    "SignalMatrix", "SignalObservation", "TranscriptRow", "analyze_geometry",
+    "ObservabilityReport", "ObserverVector", "PmsimError", "RegretCurves", "RegretReport",
+    "SignalMatrix", "SignalObservation", "Transcript", "analyze_geometry",
     "auto_eta", "auto_gamma", "best_response", "build_graph", "catalog",
-    "cell_margin", "check_game", "external_regret", "fit_slope", "fixed_point",
-    "internal_regret", "load_game", "local_internal_regret", "make_adversary",
-    "pair_margin", "parse_game", "regret_report", "resolve_game", "run",
-    "run_experiment", "second_best", "solve_observer", "theorem_bound",
+    "cell_margin", "check_game", "fit_slope", "fixed_point", "load_game",
+    "make_adversary", "pair_margin", "parse_game", "regret_curves", "regret_report",
+    "resolve_game", "run", "run_experiment", "second_best", "solve_observer",
+    "theorem_bound",
 ]
 
 __version__ = "0.1.0"

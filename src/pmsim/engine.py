@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,14 +47,17 @@ class EngineConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class TranscriptRow:
-    t: int
-    k: int        # sampled neighborhood
-    action: int   # played action I_t
-    outcome: int  # adversary move j_t
-    symbol: int   # observed symbol index within the played action's alphabet
-    loss: float
+class Transcript(NamedTuple):
+    """A run's rounds as columns: round t is row t - 1 of every array.
+
+    The engine allocates all T rows up front; rows past its current round are zero.
+    """
+
+    k: np.ndarray        # sampled neighborhood
+    action: np.ndarray   # played action I_t
+    outcome: np.ndarray  # adversary move j_t
+    symbol: np.ndarray   # observed symbol index within the played action's alphabet
+    loss: np.ndarray
 
 
 def _residual(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -165,12 +169,13 @@ class Engine:
         ]
         self.Q = np.column_stack([lr.q for lr in self.learners])
         self.t = 0
-        self.transcript: list[TranscriptRow] = []
-        self._history: list[int] = []
+        self.transcript = Transcript(*np.zeros((4, horizon), dtype=np.intp),
+                                     loss=np.zeros(horizon))
         self.max_flow_residual_l1 = 0.0
         self.max_flow_residual_linf = 0.0
 
-    def step(self) -> TranscriptRow:
+    def step(self) -> None:
+        """Play one round and write it into the transcript's row ``t - 1``."""
         if self.t >= self.horizon:
             raise RuntimeError("horizon exhausted")
         self.t += 1
@@ -185,7 +190,8 @@ class Engine:
 
         k = sample_index(self.rng, p)
         a = sample_index(self.rng, self.learners[k].q)
-        j = self.adversary.next_outcome(self.t, self._history)
+        tr = self.transcript
+        j = self.adversary.next_outcome(self.t, tr.action[:self.t - 1])
         signal = self.game.observe(a, j, self.rng, t=self.t)
 
         for owner in {a, k}:
@@ -195,13 +201,11 @@ class Engine:
         invoke(self.learners[k], self.observers)
         self.Q[:, k] = self.learners[k].q
 
-        self._history.append(a)
-        row = TranscriptRow(t=self.t, k=k, action=a, outcome=j, symbol=signal.symbol,
-                            loss=float(self.game.loss[a, j]))
-        self.transcript.append(row)
-        return row
+        row = self.t - 1
+        tr.k[row], tr.action[row], tr.outcome[row] = k, a, j
+        tr.symbol[row], tr.loss[row] = signal.symbol, self.game.loss[a, j]
 
-    def run(self) -> list[TranscriptRow]:
+    def run(self) -> Transcript:
         while self.t < self.horizon:
             self.step()
         return self.transcript
@@ -210,6 +214,6 @@ class Engine:
 def run(game: Game, adversary: Adversary, horizon: int,
         config: EngineConfig | None = None, *,
         graph: NeighborhoodGraph | None = None,
-        observers: ObservabilityReport | None = None) -> list[TranscriptRow]:
+        observers: ObservabilityReport | None = None) -> Transcript:
     """Run a full game and return its transcript."""
     return Engine(game, adversary, horizon, config, graph=graph, observers=observers).run()

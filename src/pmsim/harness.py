@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
@@ -23,7 +24,7 @@ from .errors import DegenerateGameError, DominatedActionError, GameFormatError, 
 from .games import Game, load_game
 from .geometry import analyze_geometry
 from .observability import check_game
-from .regret import RegretTracker, theorem_bound
+from .regret import RegretReport, regret_report, theorem_bound
 
 CSV_COLUMNS = ["t", "k", "I", "j", "loss", "cum_loss",
                "ext_regret", "int_regret", "local_int_regret"]
@@ -86,31 +87,43 @@ def resolve_game(name_or_path: str) -> tuple[Game, str]:
     raise GameFormatError(f"no catalog game or file named {name_or_path!r}")
 
 
+def _adversary_doc(spec: Any) -> dict:
+    """Dict form of an adversary spec given as a dict or a shorthand string."""
+    if not isinstance(spec, str):
+        return spec
+    kind, _, arg = spec.partition(":")
+    if kind == "uniform":
+        return {"kind": "iid", "dist": "uniform"}
+    if kind == "iid":
+        return {"kind": "iid", "dist": [float(x) for x in arg.split(",")] if arg else "uniform"}
+    if kind == "fixed":
+        return {"kind": "fixed", "outcomes": [int(x) for x in arg.split(",")]}
+    if kind == "adaptive":
+        return {"kind": "adaptive", "window": int(arg) if arg else None}
+    raise ValueError(f"unknown adversary spec {spec!r}")
+
+
 def make_adversary(spec: Any, game: Game) -> Adversary:
     """Build an adversary from a dict or a shorthand string.
 
     Strings: ``uniform``, ``iid:0.5,0.5``, ``fixed:0,1,0,...``, ``adaptive``
     or ``adaptive:WINDOW``.
     """
-    if isinstance(spec, str):
-        kind, _, arg = spec.partition(":")
-        if kind == "uniform":
-            spec = {"kind": "iid", "dist": "uniform"}
-        elif kind == "iid":
-            spec = {"kind": "iid", "dist": [float(x) for x in arg.split(",")] if arg else "uniform"}
-        elif kind == "fixed":
-            spec = {"kind": "fixed", "outcomes": [int(x) for x in arg.split(",")]}
-        elif kind == "adaptive":
-            spec = {"kind": "adaptive", "window": int(arg) if arg else None}
-        else:
-            raise ValueError(f"unknown adversary spec {spec!r}")
+    spec = _adversary_doc(spec)
     kind = spec.get("kind")
+    m = game.n_outcomes
     if kind == "iid":
         dist = spec.get("dist", "uniform")
         if isinstance(dist, str) and dist == "uniform":
-            dist = [1.0 / game.n_outcomes] * game.n_outcomes
+            dist = [1.0 / m] * m
+        if len(dist) != m:
+            raise ValueError(f"adversary: iid distribution has {len(dist)} entries, "
+                             f"the game has {m} outcomes")
         return IID(dist)
     if kind == "fixed":
+        bad = [j for j in spec["outcomes"] if not 0 <= j < m]
+        if bad:
+            raise ValueError(f"adversary: fixed outcome {bad[0]} is not in 0..{m - 1}")
         return FixedSequence(spec["outcomes"])
     if kind == "adaptive":
         return AdaptiveWorst(spec.get("window"))
@@ -149,9 +162,28 @@ class ExperimentConfig:
     checkpoints: list[int] | None = None
     out_dir: str = "pm_out"
 
+    def __post_init__(self):
+        """Refuse, naming the field, input that would crash a run or write NaN."""
+        if not self.horizons or not all(isinstance(T, (int, np.integer)) and T >= 1
+                                        for T in self.horizons):
+            raise ValueError(f"horizons: need integers of at least 1, got {self.horizons!r}")
+        self.seed_list()
+        if self.eta != "auto" and not (isinstance(self.eta, (int, float))
+                                       and math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta: need 'auto' or a finite positive number, got {self.eta!r}")
+        if self.gamma != "auto" and not (isinstance(self.gamma, (int, float))
+                                         and 0.0 <= self.gamma <= 1.0):
+            raise ValueError(f"gamma: need 'auto' or a number in [0, 1], got {self.gamma!r}")
+        spec = _adversary_doc(self.adversary)
+        if spec.get("kind") == "fixed" and len(spec["outcomes"]) < max(self.horizons):
+            raise ValueError(f"adversary: fixed sequence has {len(spec['outcomes'])} outcomes, "
+                             f"fewer than the largest horizon {max(self.horizons)}")
+
     def seed_list(self) -> list[int]:
         seeds = list(range(self.seeds)) if isinstance(self.seeds, int) \
             else [int(s) for s in self.seeds]
+        if not seeds:
+            raise ValueError(f"seeds: need at least one seed, got {self.seeds!r}")
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"seeds must be distinct: {seeds}")
         return seeds
@@ -173,27 +205,18 @@ class ExperimentResult:
     csv_paths: list[str]
 
 
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-
-
-def _write_run_csv(path: str, transcript, loss, graph, checkpoints) -> float:
-    """Write checkpoint rows for one run; returns the final internal regret."""
-    horizon = transcript[-1].t if transcript else 0
-    marks = set(checkpoints) if checkpoints else set(range(1, horizon + 1))
-    tracker = RegretTracker(loss, graph)
+def _write_run_csv(path: str, transcript, report: RegretReport) -> None:
+    """Write one run's rows at the report's checkpoint rounds."""
+    rows = np.asarray(report.checkpoints, dtype=np.intp) - 1
+    columns = [report.checkpoints]
+    columns += [col[rows].tolist() for col in (transcript.k, transcript.action,
+                                              transcript.outcome, transcript.loss)]
+    columns += [report.curves[name] for name in ("cum_loss", "external", "internal",
+                                                 "local_internal")]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in transcript:
-            tracker.update(row.action, row.outcome)
-            if row.t in marks:
-                writer.writerow([
-                    row.t, row.k, row.action, row.outcome, _fmt(row.loss),
-                    _fmt(tracker.cum_loss), _fmt(tracker.external()),
-                    _fmt(tracker.internal()[0]), _fmt(tracker.local_internal()),
-                ])
-    return tracker.internal()[0] if transcript else 0.0
+        writer.writerows(zip(*columns))  # csv writes Python floats as repr()
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -241,9 +264,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 graph=graph, observers=observers,
             )
             transcript = engine.run()
+            report = regret_report(transcript, game.loss, graph, observers.v_bar,
+                                   config.checkpoints)
             path = os.path.join(config.out_dir, f"run_T{T}_seed{seed}.csv")
-            final_int[T].append(_write_run_csv(path, transcript, game.loss, graph,
-                                               config.checkpoints))
+            _write_run_csv(path, transcript, report)
+            final_int[T].append(report.internal)
             csv_paths.append(path)
 
     means = [float(np.mean(final_int[T])) for T in horizons]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,25 +69,61 @@ class RegretTracker:
         return float(max(vals.max(initial=-np.inf), 0.0))
 
 
-def _feed(transcript, loss, graph=None) -> RegretTracker:
-    if not transcript:
-        raise ValueError("empty transcript")
-    tracker = RegretTracker(loss, graph)
-    for row in transcript:
-        tracker.update(row.action, row.outcome)
-    return tracker
+def _checkpoint_rounds(checkpoints: list[int] | None, horizon: int) -> np.ndarray:
+    """Sorted, unique checkpoint rounds within [1, horizon]; none given means every round."""
+    t = np.unique(np.asarray(checkpoints or range(1, horizon + 1), dtype=np.intp))
+    return t[(t >= 1) & (t <= horizon)]
 
 
-def external_regret(transcript, loss) -> float:
-    return _feed(transcript, loss).external()
+class RegretCurves(NamedTuple):
+    """Values after each checkpoint round ``t``, and the pair sums after the last one."""
+
+    t: np.ndarray
+    cum_loss: np.ndarray
+    external: np.ndarray
+    internal: np.ndarray
+    local_internal: np.ndarray
+    pair: np.ndarray  # RegretTracker.pair_sums
 
 
-def internal_regret(transcript, loss) -> tuple[float, tuple[int, int] | None]:
-    return _feed(transcript, loss).internal()
+def regret_curves(action, outcome, loss, graph: NeighborhoodGraph,
+                  checkpoints: list[int] | None = None) -> RegretCurves:
+    """Cumulative loss and the three regrets after each checkpoint round.
 
+    One pass over a transcript's action and outcome columns, bit-identical to
+    feeding :class:`RegretTracker` round by round: each running sum is an
+    ``np.cumsum`` (sequential, like ``+=``) from 0.0, row i of the pair sums
+    runs over the rounds that played i, and external regret takes one
+    ``loss @ counts`` mat-vec per checkpoint.  Memory is O(T * N).
+    """
+    loss = np.asarray(loss, dtype=float)
+    n, m = loss.shape
+    t = _checkpoint_rounds(checkpoints, len(action))
+    last = t[-1] if len(t) else 0
+    action, outcome = np.asarray(action)[:last], np.asarray(outcome)[:last]
+    played = loss[action, outcome]
+    cum_loss = np.cumsum(np.concatenate(([0.0], played)))[t]
+    counts = np.cumsum(np.eye(m)[outcome], axis=0)[t - 1]  # exact: small integers
+    external = cum_loss - np.array([(loss @ c).min() for c in counts])
 
-def local_internal_regret(transcript, loss, graph: NeighborhoodGraph) -> float:
-    return _feed(transcript, loss, graph).local_internal()
+    plays = np.cumsum(np.eye(n, dtype=np.int32)[action], axis=0)[t - 1]
+    neighbor = np.zeros((n, n), dtype=bool)
+    for i, k in graph.neighbor_pairs():
+        neighbor[i, k] = True
+    pair = np.zeros((n, n))
+    internal = local = np.full(len(t), -np.inf)
+    for i in range(n):
+        mine = action == i
+        # row i of the pair sums before i's first play, then after each play
+        sums = np.cumsum(np.vstack([np.zeros(n), played[mine, None] - loss[:, outcome[mine]].T]),
+                         axis=0)
+        pair[i] = sums[-1]
+        off = np.delete(sums, i, axis=1).max(axis=1, initial=-np.inf)
+        internal = np.maximum(internal, off[plays[:, i]])
+        local = np.maximum(local, sums[:, neighbor[i]].max(axis=1, initial=-np.inf)[plays[:, i]])
+    # floored at zero exactly as RegretTracker floors them
+    return RegretCurves(t, cum_loss, external, np.where(internal > 0.0, internal, 0.0),
+                        np.where(local < 0.0, 0.0, local), pair)
 
 
 def theorem_bound(n_actions: int, v_bar: float, horizon: int) -> float:
@@ -109,29 +146,25 @@ class RegretReport:
 def regret_report(transcript, loss, graph: NeighborhoodGraph, v_bar: float,
                   checkpoints: list[int] | None = None) -> RegretReport:
     """Full report, with cumulative curves at the requested checkpoints."""
-    if not transcript:
+    horizon = len(transcript.action)
+    if horizon == 0:
         raise ValueError("empty transcript")
-    horizon = transcript[-1].t
-    checkpoints = sorted(t for t in (checkpoints or range(1, horizon + 1)) if t <= horizon)
-    tracker = RegretTracker(loss, graph)
-    curves: dict[str, list[float]] = {
-        "cum_loss": [], "external": [], "internal": [], "local_internal": []}
-    marks = set(checkpoints)
-    for row in transcript:
-        tracker.update(row.action, row.outcome)
-        if row.t in marks:
-            curves["cum_loss"].append(tracker.cum_loss)
-            curves["external"].append(tracker.external())
-            curves["internal"].append(tracker.internal()[0])
-            curves["local_internal"].append(tracker.local_internal())
-    internal, worst = tracker.internal()
+    marks = _checkpoint_rounds(checkpoints, horizon).tolist()
+    # the horizon comes last, so entry -1 holds the final values
+    c = regret_curves(transcript.action, transcript.outcome, loss, graph, marks + [horizon])
+    d = c.pair.copy()
+    np.fill_diagonal(d, -np.inf)
+    worst = np.unravel_index(np.argmax(d), d.shape)
+    loss = np.asarray(loss, dtype=float)
+    counts = np.bincount(transcript.outcome, minlength=loss.shape[1]).astype(float)
     return RegretReport(
-        external=tracker.external(),
-        internal=internal,
-        local_internal=tracker.local_internal(),
-        best_fixed_action=tracker.best_fixed_action(),
-        worst_departure=worst,
-        theorem_bound=theorem_bound(loss.shape[0], v_bar, horizon),
-        checkpoints=checkpoints,
-        curves=curves,
+        external=float(c.external[-1]),
+        internal=float(c.internal[-1]),
+        local_internal=float(c.local_internal[-1]),
+        best_fixed_action=int(np.argmin(loss @ counts)),
+        worst_departure=(int(worst[0]), int(worst[1])) if d[worst] > 0.0 else None,
+        theorem_bound=theorem_bound(len(loss), v_bar, horizon),
+        checkpoints=marks,
+        curves={name: getattr(c, name)[:len(marks)].tolist()
+                for name in ("cum_loss", "external", "internal", "local_internal")},
     )

@@ -16,13 +16,11 @@ from pmsim import (
     Engine,
     EngineConfig,
     ExperimentConfig,
-    TranscriptRow,
     analyze_geometry,
     best_response,
     build_graph,
     check_game,
-    internal_regret,
-    local_internal_regret,
+    regret_curves,
     resolve_game,
     run_experiment,
     second_best,
@@ -174,27 +172,23 @@ def test_criterion_7_regret_matches_rewrite_oracle():
         L = rng.integers(0, 128, size=(n, m)) / 64.0  # dyadic grid: sums exact
         actions = rng.integers(n, size=horizon)
         outcomes = rng.integers(m, size=horizon)
-        transcript = [
-            TranscriptRow(t=t + 1, k=a, action=int(a), outcome=int(j), symbol=0,
-                          loss=float(L[a, j]))
-            for t, (a, j) in enumerate(zip(actions, outcomes))
-        ]
         total = 0.0
-        for row in transcript:
-            total += L[row.action, row.outcome]
+        for a, o in zip(actions, outcomes):
+            total += L[a, o]
         best = 0.0
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
                 rewritten = 0.0
-                for row in transcript:
-                    rewritten += L[j if row.action == i else row.action, row.outcome]
+                for a, o in zip(actions, outcomes):
+                    rewritten += L[j if a == i else a, o]
                 best = max(best, total - rewritten)
-        value, _ = internal_regret(transcript, L)
-        assert value == best  # bit-exact on the dyadic grid
         graph, _ = analyze_geometry(L)
-        assert local_internal_regret(transcript, L, graph) <= value
+        curves = regret_curves(actions, outcomes, L, graph, [horizon])
+        value = curves.internal[-1]
+        assert value == best  # bit-exact on the dyadic grid
+        assert curves.local_internal[-1] <= value
     _ok(7, "internal regret equals the departure-rewrite oracle exactly on 1000 "
            "transcripts; local never exceeds global")
 

@@ -51,5 +51,5 @@ def test_iid_outcomes_independent_of_learner_parameters(bandit_mp):
     runs = {}
     for gamma in (0.0, 0.25):
         tr = run(bandit_mp, IID([0.3, 0.7]), 400, EngineConfig(gamma=gamma, seed=9))
-        runs[gamma] = [row.outcome for row in tr]
+        runs[gamma] = tr.outcome.tolist()
     assert runs[0.0] == runs[0.25]

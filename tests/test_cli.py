@@ -92,3 +92,24 @@ def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
     assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--seeds", "0"], "seeds"),
+    (["--T", "0"], "horizons"),
+    (["--T", "-5"], "horizons"),
+    (["--adversary", "fixed:0,1", "--T", "5"], "adversary"),
+    (["--adversary", "fixed:0,5", "--T", "2"], "adversary"),
+    (["--adversary", "iid:0.5,0.5,0"], "adversary"),
+    (["--eta", "nan"], "eta"),
+    (["--eta", "-1"], "eta"),
+    (["--gamma", "1.5"], "gamma"),
+])
+def test_run_rejects_bad_input(tmp_path, capsys, flags, field):
+    code, out, err = run_cli(capsys, "run", "--game", "bandit_mp", "--T", "10",
+                             *flags, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"pm: {field}") and "Traceback" not in err
+    for path in tmp_path.glob("**/*.json"):
+        assert "NaN" not in path.read_text()
+    assert "NaN" not in out
