@@ -89,8 +89,10 @@ def resolve_game(name_or_path: str) -> tuple[Game, str]:
 
 def _adversary_doc(spec: Any) -> dict:
     """Dict form of an adversary spec given as a dict or a shorthand string."""
-    if not isinstance(spec, str):
+    if isinstance(spec, dict):
         return spec
+    if not isinstance(spec, str):
+        raise ValueError(f"adversary: need a spec string or object, got {spec!r}")
     kind, _, arg = spec.partition(":")
     if kind == "uniform":
         return {"kind": "iid", "dist": "uniform"}
@@ -121,10 +123,11 @@ def make_adversary(spec: Any, game: Game) -> Adversary:
                              f"the game has {m} outcomes")
         return IID(dist)
     if kind == "fixed":
-        bad = [j for j in spec["outcomes"] if not 0 <= j < m]
+        outcomes = spec.get("outcomes", [])
+        bad = [j for j in outcomes if not 0 <= j < m]
         if bad:
             raise ValueError(f"adversary: fixed outcome {bad[0]} is not in 0..{m - 1}")
-        return FixedSequence(spec["outcomes"])
+        return FixedSequence(outcomes)
     if kind == "adaptive":
         return AdaptiveWorst(spec.get("window"))
     raise ValueError(f"unknown adversary kind {kind!r}")
@@ -164,9 +167,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Refuse, naming the field, input that would crash a run or write NaN."""
-        if not self.horizons or not all(isinstance(T, (int, np.integer)) and T >= 1
-                                        for T in self.horizons):
-            raise ValueError(f"horizons: need integers of at least 1, got {self.horizons!r}")
+        if not self.horizons or len(set(self.horizons)) < len(self.horizons) or not all(
+                isinstance(T, (int, np.integer)) and T >= 1 for T in self.horizons):
+            raise ValueError(f"horizons: need distinct integers of at least 1, "
+                             f"got {self.horizons!r}")
         self.seed_list()
         if self.eta != "auto" and not (isinstance(self.eta, (int, float))
                                        and math.isfinite(self.eta) and self.eta > 0):
@@ -175,8 +179,9 @@ class ExperimentConfig:
                                          and 0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma: need 'auto' or a number in [0, 1], got {self.gamma!r}")
         spec = _adversary_doc(self.adversary)
-        if spec.get("kind") == "fixed" and len(spec["outcomes"]) < max(self.horizons):
-            raise ValueError(f"adversary: fixed sequence has {len(spec['outcomes'])} outcomes, "
+        n_fixed = len(spec.get("outcomes", []))
+        if spec.get("kind") == "fixed" and n_fixed < max(self.horizons):
+            raise ValueError(f"adversary: fixed sequence has {n_fixed} outcomes, "
                              f"fewer than the largest horizon {max(self.horizons)}")
 
     def seed_list(self) -> list[int]:

@@ -98,6 +98,7 @@ def test_usage_errors(tmp_path, capsys):
     (["--seeds", "0"], "seeds"),
     (["--T", "0"], "horizons"),
     (["--T", "-5"], "horizons"),
+    (["--T", "50,50"], "horizons"),
     (["--adversary", "fixed:0,1", "--T", "5"], "adversary"),
     (["--adversary", "fixed:0,5", "--T", "2"], "adversary"),
     (["--adversary", "iid:0.5,0.5,0"], "adversary"),
@@ -113,3 +114,13 @@ def test_run_rejects_bad_input(tmp_path, capsys, flags, field):
     for path in tmp_path.glob("**/*.json"):
         assert "NaN" not in path.read_text()
     assert "NaN" not in out
+
+
+@pytest.mark.parametrize("adversary", [5, {"kind": "fixed"}])
+def test_run_rejects_bad_adversary_in_config(tmp_path, capsys, adversary):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"game": "bandit_mp", "adversary": adversary, "horizons": [10],
+                                "out_dir": str(tmp_path / "out")}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
+    assert err.startswith("pm: adversary") and "Traceback" not in err
