@@ -165,7 +165,7 @@ def regret_report(transcript, loss, graph: NeighborhoodGraph, v_bar: float,
         local_internal=float(c.local_internal[-1]),
         best_fixed_action=int(np.argmin(loss @ counts)),
         worst_departure=(int(worst[0]), int(worst[1])) if d[worst] > 0.0 else None,
-        theorem_bound=theorem_bound(len(loss), v_bar, horizon),
+        theorem_bound=theorem_bound(loss.shape[0], v_bar, horizon),
         checkpoints=marks,
         curves={name: getattr(c, name)[:len(marks)].tolist()
                 for name in ("cum_loss", "external", "internal", "local_internal")},
