@@ -36,6 +36,11 @@ CASES = {
                       seeds=[2], eta=0.05, gamma=0.1, checkpoints=[100, 300]),
     "every-round": dict(game="full_info_3x3", adversary="adaptive", horizons=[250],
                         seeds=[0, 1]),
+    # N=3 with every pair's observer split over both blocks, so rounds where
+    # the sampled learner's neighbor is played take the importance-weighted branch
+    **{f"bandit3-{adv}": dict(game="bandit3.json", adversary=adv, horizons=[300, 2000],
+                              seeds=2, checkpoints=[100, 300, 1000, 2000])
+       for adv in ("uniform", "adaptive")},
     # run from the data directory so that summary.json records the bare file name
     "voronoi-n16": dict(game="voronoi_n16.json", adversary="adaptive", horizons=[60],
                         seeds=1, checkpoints=[1, 30, 60]),
@@ -66,6 +71,10 @@ DIGESTS = {
         "d93b5756d2ca4b6ade473268bd09735ed1ae25ba6df975486e8ebf7c716b2b0a",
     "every-round":
         "86bcb00ecb0156cafe7096203fc10c104771f78e6389467c88d85d11a62001b6",
+    "bandit3-uniform":
+        "192d3555b239be81283d1f01b457b3c12e4ecea153781319007d38dbf68095a0",
+    "bandit3-adaptive":
+        "935407084851bd7bfe8abc13540e6b03d973c6ea0a62871c38b397aee6fb6980",
     "voronoi-n16":
         "78f88af09d49cb2e7c6f8d578e85a55f8e89945c6ce53a030587823c53fbb494",
 }
