@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or malformed input, 3 game not locally
-observable, 4 dominated or degenerate game.
+Exit codes: 0 success, 1 internal solver failure (LP or fixed point),
+2 usage or malformed input, 3 not locally observable, 4 dominated or degenerate.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ import math
 import sys
 
 from .errors import DegenerateGameError, DominatedActionError, GameFormatError, \
-    NotLocallyObservableError
+    NotLocallyObservableError, PmsimError
 from .geometry import analyze_geometry, build_graph
 from .harness import ExperimentConfig, resolve_game, run_experiment
 from .observability import check_game
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_UNOBSERVABLE = 3
 EXIT_BAD_GEOMETRY = 4
@@ -131,6 +132,9 @@ def main(argv=None) -> int:
     except (DominatedActionError, DegenerateGameError) as exc:
         print(f"pm: unusable game geometry: {exc}", file=sys.stderr)
         return EXIT_BAD_GEOMETRY
+    except PmsimError as exc:
+        print(f"pm: internal solver failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

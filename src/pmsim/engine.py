@@ -21,7 +21,7 @@ from .adversaries import Adversary
 from .errors import FixedPointError, NotLocallyObservableError
 from .games import Game
 from .geometry import NeighborhoodGraph, build_graph
-from .learner import LearnerState, RoundRecord, invoke, make_learner
+from .learner import LearnerState, add_round, invoke, make_learner
 from .observability import ObservabilityReport, check_game
 
 FLOW_TOL = 1e-9
@@ -165,7 +165,8 @@ class Engine:
 
         n = game.n_actions
         self.learners: list[LearnerState] = [
-            make_learner(i, graph.neighbors[i], n, self.eta, self.gamma) for i in range(n)
+            make_learner(i, graph.neighbors[i], n, self.eta, self.gamma, observers)
+            for i in range(n)
         ]
         self.Q = np.column_stack([lr.q for lr in self.learners])
         self.t = 0
@@ -192,18 +193,14 @@ class Engine:
         a = sample_index(self.rng, self.learners[k].q)
         tr = self.transcript
         j = self.adversary.next_outcome(self.t, tr.action[:self.t - 1])
-        signal = self.game.observe(a, j, self.rng, t=self.t)
-
-        for owner in {a, k}:
-            lr = self.learners[owner]
-            lr.buffer.append(RoundRecord(
-                t=self.t, k=k, played=a, signal=signal, q_snapshot=lr.q.copy()))
-        invoke(self.learners[k], self.observers)
-        self.Q[:, k] = self.learners[k].q
+        symbol = self.game.observe(a, j, self.rng, t=self.t).symbol
 
         row = self.t - 1
         tr.k[row], tr.action[row], tr.outcome[row] = k, a, j
-        tr.symbol[row], tr.loss[row] = signal.symbol, self.game.loss[a, j]
+        tr.symbol[row], tr.loss[row] = symbol, self.game.loss[a, j]
+
+        add_round(self.learners, self.t, k, a, symbol)
+        self.Q[:, k] = invoke(self.learners[k], self.observers).q
 
     def run(self) -> Transcript:
         while self.t < self.horizon:

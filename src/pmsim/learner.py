@@ -1,42 +1,22 @@
-"""Per-vertex learners: signal buffers, loss-difference estimates, exponential weights.
+"""Per-vertex learners: observer tables, running cost estimates, exponential weights.
 
-Each action owns one learner that plays only over its neighbor set.  Between
-its own invocations the learner passively buffers the rounds it can learn
-from; when invoked it converts the buffered signals into relative-cost
-estimates for every neighbor, feeds them to an exponential-weights update,
-and re-emits its sampling distribution mixed with a little uniform
-exploration.
+Each action owns one learner that plays only over its neighbor set.  Signals
+are unit vectors, so an observer applied to one is a single entry, read from
+tables built once.  Between invocations the learner sums the estimates of
+every round it can learn from into a relative-cost vector over its neighbors;
+when invoked it feeds that to an exponential-weights update, re-emits its
+sampling distribution mixed with a little uniform exploration, and restarts
+the sum from zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import SignalObservation
 from .observability import ObservabilityReport
-
-
-@dataclass
-class RoundRecord:
-    """One buffered round, seen from the owning learner's side.
-
-    ``q_snapshot`` is the owner's sampling distribution that was in force at
-    round ``t``; the importance weight divides by it, not by the current one.
-    """
-
-    t: int
-    k: int
-    played: int
-    signal: SignalObservation
-    q_snapshot: np.ndarray
-
-
-@dataclass
-class CostVector:
-    f: np.ndarray  # over all N actions, zero outside the owner's neighbors
-    s: int
 
 
 @dataclass
@@ -47,85 +27,103 @@ class LearnerState:
     q: np.ndarray          # mixed distribution over all N actions
     eta: float
     gamma: float
-    count: int = 0
-    buffer: list[RoundRecord] = field(default_factory=list)
+    top: np.ndarray        # row s: observer (i, j)'s entry for own symbol s, per neighbor j
+    bottom: dict[int, tuple[int, np.ndarray]]  # j -> (index in neighbors, block over j's symbols)
+    f: np.ndarray          # relative costs over neighbors, summed since the last invocation
+    buffer: list[int] = field(default_factory=list)  # rounds summed into f since then
 
 
-def make_learner(action: int, neighbors, n_actions: int, eta: float, gamma: float) -> LearnerState:
+def make_learner(action: int, neighbors, n_actions: int, eta: float, gamma: float,
+                 observers: ObservabilityReport) -> LearnerState:
     """Fresh learner with the uniform mixed distribution over its neighbor set."""
     neighbors = np.asarray(sorted(neighbors), dtype=int)
     x = np.full(len(neighbors), 1.0 / len(neighbors))
     q = np.zeros(n_actions)
     q[neighbors] = x
-    return LearnerState(action=action, neighbors=neighbors, x=x, q=q, eta=eta, gamma=gamma)
+    ovs = {j: observers.observer(action, j) for j in neighbors.tolist() if j != action}
+    n_own = next(iter(ovs.values())).split
+    top = np.array([ovs[j].top if j in ovs else np.zeros(n_own) for j in neighbors.tolist()])
+    return LearnerState(
+        action=action, neighbors=neighbors, x=x, q=q, eta=eta, gamma=gamma,
+        top=np.ascontiguousarray(top.T), f=np.zeros(len(neighbors)),
+        bottom={j: (int(np.searchsorted(neighbors, j)), ov.bottom) for j, ov in ovs.items()},
+    )
 
 
-def estimate_b(state: LearnerState, rec: RoundRecord, observers: ObservabilityReport,
-               j: int) -> float:
+def estimate_b(state: LearnerState, k: int, played: int, symbol: int, q: np.ndarray,
+               observers: ObservabilityReport, j: int) -> float:
     """Loss-difference estimate of neighbor ``j`` against the owner, from one round.
 
     Only two kinds of round contribute: rounds where the owner's own action
     was played (the observer's top block reads the signal), and rounds where
-    the owner was the sampled neighborhood and ``j`` was played (bottom
-    block, importance-weighted by the snapshotted probability of ``j``).
+    the owner was the sampled neighborhood ``k`` and ``j`` was played (bottom
+    block, importance-weighted by ``q[j]``, the owner's distribution in force
+    that round).
     """
     i = state.action
     if j == i:
         return 0.0  # an action against itself has relative cost zero
     ov = observers.observer(i, j)
-    sig = rec.signal.vector
     b = 0.0
-    if rec.played == i:
-        b += float(ov.top @ sig)
-    if rec.k == i and rec.played == j:
-        qj = rec.q_snapshot[j]
+    if played == i:
+        b += float(ov.top[symbol])
+    if k == i and played == j:
+        qj = q[j]
         if qj <= 0.0:
-            raise RuntimeError(
-                f"learner {i} sampled neighbor {j} with zero probability at round {rec.t}"
-            )
-        b += float(ov.bottom @ sig) / qj
+            raise RuntimeError(f"learner {i} sampled neighbor {j} with zero probability")
+        b += float(ov.bottom[symbol]) / qj
     return b
 
 
-def aggregate_costs(state: LearnerState, observers: ObservabilityReport) -> CostVector:
-    """Sum the buffered estimates into one cost vector over the neighbor set."""
-    if not state.buffer:
-        raise RuntimeError(f"learner {state.action} invoked with an empty buffer")
-    if state.buffer[-1].k != state.action:
-        raise RuntimeError(
-            f"learner {state.action} invoked but the last buffered round "
-            f"belongs to neighborhood {state.buffer[-1].k}"
-        )
-    f = np.zeros(len(state.q))
-    for j in state.neighbors:
-        f[j] = sum(estimate_b(state, rec, observers, int(j)) for rec in state.buffer)
-    return CostVector(f=f, s=state.count + 1)
+def add_round(learners: list[LearnerState], t: int, k: int, played: int, symbol: int) -> None:
+    """Add round ``t``'s estimates to the running costs of the learners that use it.
+
+    The played action's learner reads its top table; a sampled learner ``k``
+    other than it reads its bottom block for ``played``, weighted by its own
+    ``q``, in force until ``k`` is invoked.  Summed from +0.0 in round order,
+    this gives the bits of the summed per-round :func:`estimate_b` values.
+    """
+    own = learners[played]
+    own.f += own.top[symbol]
+    own.buffer.append(t)
+    if k != played:
+        lk = learners[k]
+        pos, bottom = lk.bottom[played]
+        lk.f[pos] += bottom[symbol] / lk.q[played]
+        lk.buffer.append(t)
 
 
 def exp_weights_step(x: np.ndarray, f: np.ndarray, eta: float) -> np.ndarray:
     """Multiplicative-weights update ``x' ~ x * exp(-eta f)``, overflow-safe.
 
     Subtracting the max exponent first keeps the weights in range and makes
-    the update invariant (to rounding) under constant shifts of ``f``.
+    the update invariant (to rounding) under constant shifts of ``f``.  If
+    ``-eta * f`` overflowed, or all of ``x``'s support underflowed, the step is
+    redone on that support; an infinite exponent there takes the eta -> inf
+    limit, ``x``'s mass on the minimizers of ``f``.
     """
-    z = -eta * np.asarray(f, dtype=float)
+    f = np.asarray(f, dtype=float)
+    z = -eta * f
     w = x * np.exp(z - z.max())
     total = w.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise RuntimeError("exponential-weights update produced no usable mass")
+    if not (total > 0.0 and math.isfinite(total)):
+        live = x > 0.0
+        z = np.where(live, z, -np.inf)
+        zmax = z.max()
+        w = x * (f == f[live].min()) if math.isinf(zmax) else x * np.exp(z - zmax)
+        total = w.sum()
+        if not (total > 0.0 and math.isfinite(total)):
+            raise RuntimeError("exponential-weights update produced no usable mass")
     return w / total
 
 
 def invoke(state: LearnerState, observers: ObservabilityReport) -> LearnerState:
-    """One full invocation: costs from the buffer, weight update, re-mixed q."""
-    costs = aggregate_costs(state, observers)
-    state.x = exp_weights_step(state.x, costs.f[state.neighbors], state.eta)
-    q = np.zeros(len(state.q))
-    q[state.neighbors] = (1.0 - state.gamma) * state.x + state.gamma / len(state.neighbors)
-    state.q = q
+    """One invocation: weight update from the costs :func:`add_round` summed, re-mixed q.
+
+    ``observers`` is not consulted: the learner read its tables when it was made.
+    """
+    state.x = exp_weights_step(state.x, state.f, state.eta)
+    state.q[state.neighbors] = (1.0 - state.gamma) * state.x + state.gamma / len(state.neighbors)
+    state.f.fill(0.0)
     state.buffer.clear()
-    state.count += 1
-    assert abs(state.x.sum() - 1.0) <= 1e-12
-    assert abs(state.q.sum() - 1.0) <= 1e-12
-    assert state.q[state.neighbors].min() >= state.gamma / len(state.neighbors) - 1e-12
     return state

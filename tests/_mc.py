@@ -10,14 +10,14 @@ through the production ``estimate_b`` one round at a time.
 import numpy as np
 
 from pmsim.engine import fixed_point
-from pmsim.games import SignalObservation
-from pmsim.learner import RoundRecord, estimate_b, make_learner
+from pmsim.learner import estimate_b, make_learner
 
 
-def frozen_setup(game, graph, qs):
+def frozen_setup(game, graph, observers, qs):
     """Learner states pinned to the given per-action distributions."""
     N = game.n_actions
-    states = [make_learner(i, graph.neighbors[i], N, eta=0.1, gamma=0.0) for i in range(N)]
+    states = [make_learner(i, graph.neighbors[i], N, eta=0.1, gamma=0.0, observers=observers)
+              for i in range(N)]
     qs = [np.asarray(q, dtype=float) for q in qs]
     for st, q in zip(states, qs):
         st.q = q
@@ -48,16 +48,13 @@ def simulate_estimates(game, observers, states, qs, p, pairs, outcome, n_rounds,
         table = np.array([game.signal_matrix(i).matrix[:, outcome].argmax()
                           for i in range(game.n_actions)])
         symbols = table[actions]
-    units = [np.eye(game.signal_matrix(i).n_symbols) for i in range(game.n_actions)]
 
     samples = {pair: np.empty(n_rounds) for pair in pairs}
     ks_l, actions_l, symbols_l = ks.tolist(), actions.tolist(), symbols.tolist()
     for r in range(n_rounds):
         k, a, sym = ks_l[r], actions_l[r], symbols_l[r]
-        sig = SignalObservation(t=r + 1, action=a, symbol=sym, vector=units[a][sym])
         for (i, j) in pairs:
-            rec = RoundRecord(t=r + 1, k=k, played=a, signal=sig, q_snapshot=qs[i])
-            samples[(i, j)][r] = estimate_b(states[i], rec, observers, j)
+            samples[(i, j)][r] = estimate_b(states[i], k, a, sym, qs[i], observers, j)
     return samples
 
 
@@ -68,7 +65,7 @@ def expected_b(game, p, i, j, outcome):
 
 def check_unbiased(game, graph, observers, qs, n_rounds, seed, tol_se=4.0):
     """Assert every neighbor pair's empirical mean sits in the 4-SE band."""
-    states, qs, p = frozen_setup(game, graph, qs)
+    states, qs, p = frozen_setup(game, graph, observers, qs)
     pairs = graph.neighbor_pairs()
     worst = 0.0
     for outcome in range(game.n_outcomes):

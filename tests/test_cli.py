@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import pmsim.cli
+import pmsim.engine
 from pmsim.cli import main
+from pmsim.errors import FixedPointError, LPSolverError
 
 
 def run_cli(capsys, *argv):
@@ -124,3 +127,31 @@ def test_run_rejects_bad_adversary_in_config(tmp_path, capsys, adversary):
     code, _, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert err.startswith("pm: adversary") and "Traceback" not in err
+
+
+def test_run_with_overflowing_eta_takes_the_limit(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", "--game", "bandit_mp", "--T", "50",
+                             "--eta", "1e308", "--out", str(tmp_path))
+    assert code == 0 and "Traceback" not in err
+    assert "NaN" not in out
+    for path in tmp_path.glob("**/*.json"):
+        assert "NaN" not in path.read_text()
+
+
+def test_solver_failures_exit_1_without_traceback(tmp_path, capsys, monkeypatch):
+    def failing_lp(game):
+        raise LPSolverError("phase 1 reported an unbounded auxiliary problem")
+
+    def failing_fixed_point(Q):
+        raise FixedPointError("power iteration did not converge")
+
+    monkeypatch.setattr(pmsim.cli, "build_graph", failing_lp)
+    code, out, err = run_cli(capsys, "graph", "bandit_mp")
+    assert code == 1 and out == ""
+    assert err == "pm: internal solver failure: phase 1 reported an unbounded auxiliary problem\n"
+
+    monkeypatch.setattr(pmsim.engine, "fixed_point", failing_fixed_point)
+    code, _, err = run_cli(capsys, "run", "--game", "bandit_mp", "--T", "10",
+                           "--out", str(tmp_path))
+    assert code == 1
+    assert err == "pm: internal solver failure: power iteration did not converge\n"

@@ -1,16 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 from _mc import check_unbiased
 
-from pmsim import analyze_geometry, check_game
+import pmsim.engine
+from pmsim import AdaptiveWorst, Engine, EngineConfig, analyze_geometry, catalog, check_game
+from pmsim.games import load_game
 from pmsim.learner import (
-    RoundRecord,
-    aggregate_costs,
+    add_round,
     estimate_b,
     exp_weights_step,
     invoke,
     make_learner,
 )
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 @pytest.fixture(scope="module")
@@ -25,81 +30,129 @@ def apple_setup(apple_tasting):
     return apple_tasting, graph, check_game(apple_tasting, graph)
 
 
-def _record(game, state, k, played, outcome, t=1, q=None):
-    sig = game.observe(played, outcome, np.random.default_rng(0), t=t)
-    return RoundRecord(t=t, k=k, played=played, signal=sig,
-                       q_snapshot=state.q if q is None else np.asarray(q, dtype=float))
+def _learners(graph, obs, eta, gamma):
+    n = len(graph.neighbors)
+    return [make_learner(i, graph.neighbors[i], n, eta, gamma, obs) for i in range(n)]
+
+
+def _symbol(game, played, outcome):
+    return game.observe(played, outcome, np.random.default_rng(0)).symbol
 
 
 def test_estimate_b_zero_when_uninvolved(bandit_setup):
     game, graph, obs = bandit_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.1, gamma=0.1)
-    rec = _record(game, state, k=1, played=1, outcome=0)  # I != 0 and k != 0
-    assert estimate_b(state, rec, obs, 0) == 0.0
-    assert estimate_b(state, rec, obs, 1) == 0.0
+    state = _learners(graph, obs, eta=0.1, gamma=0.1)[0]
+    sym = _symbol(game, 1, 0)  # I != 0 and k != 0
+    assert estimate_b(state, 1, 1, sym, state.q, obs, 0) == 0.0
+    assert estimate_b(state, 1, 1, sym, state.q, obs, 1) == 0.0
 
 
 def test_estimate_b_importance_weighted_branch(bandit_setup):
     game, graph, obs = bandit_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.1, gamma=0.1)
-    rec = _record(game, state, k=0, played=1, outcome=0, q=[0.75, 0.25])
+    state = _learners(graph, obs, eta=0.1, gamma=0.1)[0]
+    sym = _symbol(game, 1, 0)
+    q = np.array([0.75, 0.25])
     # own-action block silent; neighbor block reads signal "1" (index 0 of row 1)
-    expected = obs.observer(0, 1).bottom[rec.signal.symbol] / 0.25
-    assert estimate_b(state, rec, obs, 1) == pytest.approx(expected)
-    assert estimate_b(state, rec, obs, 0) == 0.0  # self-estimate always zero
+    expected = obs.observer(0, 1).bottom[sym] / 0.25
+    assert estimate_b(state, 0, 1, sym, q, obs, 1) == pytest.approx(expected)
+    assert estimate_b(state, 0, 1, sym, q, obs, 0) == 0.0  # self-estimate always zero
 
 
 def test_estimate_b_own_play_branch(bandit_setup):
     game, graph, obs = bandit_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.1, gamma=0.1)
-    rec = _record(game, state, k=1, played=0, outcome=1)
-    expected = obs.observer(0, 1).top[rec.signal.symbol]
-    assert estimate_b(state, rec, obs, 1) == pytest.approx(expected)
+    state = _learners(graph, obs, eta=0.1, gamma=0.1)[0]
+    sym = _symbol(game, 0, 1)
+    expected = obs.observer(0, 1).top[sym]
+    assert estimate_b(state, 1, 0, sym, state.q, obs, 1) == pytest.approx(expected)
 
 
 def test_estimate_b_zero_probability_is_fatal(bandit_setup):
     game, graph, obs = bandit_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.1, gamma=0.0)
-    rec = _record(game, state, k=0, played=1, outcome=0, q=[1.0, 0.0])
+    state = _learners(graph, obs, eta=0.1, gamma=0.0)[0]
     with pytest.raises(RuntimeError, match="zero probability"):
-        estimate_b(state, rec, obs, 1)
+        estimate_b(state, 0, 1, _symbol(game, 1, 0), np.array([1.0, 0.0]), obs, 1)
 
 
 def test_estimate_b_uses_snapshot_not_current_q(bandit_setup):
     game, graph, obs = bandit_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.1, gamma=0.1)
-    rec = _record(game, state, k=0, played=1, outcome=0, q=[0.5, 0.5])
-    state.q = np.array([0.99, 0.01])  # later update must not leak in
-    expected = obs.observer(0, 1).bottom[rec.signal.symbol] / 0.5
-    assert estimate_b(state, rec, obs, 1) == pytest.approx(expected)
+    state = _learners(graph, obs, eta=0.1, gamma=0.1)[0]
+    sym = _symbol(game, 1, 0)
+    state.q = np.array([0.99, 0.01])  # the round's own q is passed, not the learner's
+    expected = obs.observer(0, 1).bottom[sym] / 0.5
+    assert estimate_b(state, 0, 1, sym, np.array([0.5, 0.5]), obs, 1) == pytest.approx(expected)
 
 
 def test_aggregate_two_hand_computed_rounds(bandit_setup):
     game, graph, obs = bandit_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.1, gamma=0.0)
-    state.buffer.append(_record(game, state, k=1, played=0, outcome=1, t=1))
-    state.buffer.append(_record(game, state, k=0, played=1, outcome=0, t=2,
-                                q=[0.5, 0.5]))
-    costs = aggregate_costs(state, obs)
+    learners = _learners(graph, obs, eta=0.1, gamma=0.0)
+    add_round(learners, 1, 1, 0, _symbol(game, 0, 1))
+    add_round(learners, 2, 0, 1, _symbol(game, 1, 0))  # learner 0's q is [0.5, 0.5]
     # round 1: top block of v=(.5,-.5,.5,-.5) reads symbol "1" -> -0.5
     # round 2: bottom block reads symbol "1" -> +0.5, importance weight 1/0.5
-    assert costs.f[1] == pytest.approx(-0.5 + 0.5 / 0.5)
-    assert costs.f[0] == 0.0
+    state = learners[0]
+    assert state.f[1] == pytest.approx(-0.5 + 0.5 / 0.5)
+    assert state.f[0] == 0.0
+    assert state.buffer == [1, 2]
 
 
 def test_aggregate_blind_self_round_is_all_zero(apple_setup):
     # the blind row's observer block is zero, so self-play rounds teach nothing
     game, graph, obs = apple_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.1, gamma=0.0)
-    state.buffer.append(_record(game, state, k=0, played=0, outcome=1))
-    np.testing.assert_allclose(aggregate_costs(state, obs).f, [0.0, 0.0], atol=1e-12)
+    learners = _learners(graph, obs, eta=0.1, gamma=0.0)
+    add_round(learners, 1, 0, 0, _symbol(game, 0, 1))
+    np.testing.assert_allclose(learners[0].f, [0.0, 0.0], atol=1e-12)
+    assert learners[0].buffer == [1] and not learners[1].buffer
 
 
-def test_aggregate_requires_buffer(bandit_setup):
-    game, graph, obs = bandit_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.1, gamma=0.0)
-    with pytest.raises(RuntimeError, match="empty buffer"):
-        aggregate_costs(state, obs)
+def _exactness_games():
+    games = [(e.name, e.game) for e in catalog() if e.expected_observable]
+    return games + [(name, load_game(os.path.join(DATA, name + ".json")))
+                    for name in ("voronoi_n16", "bandit3")]
+
+
+@pytest.mark.parametrize("name,game", _exactness_games(), ids=lambda v: v if isinstance(v, str) else "")
+def test_running_costs_equal_summed_estimates(name, game, monkeypatch):
+    """Before every invocation, f is the round-order sum of estimate_b, bit for bit."""
+    horizon = 150 if game.n_actions > 3 else 400
+    engine = Engine(game, AdaptiveWorst(), horizon, EngineConfig(seed=3))
+    tr = engine.transcript
+    real_invoke = pmsim.engine.invoke
+    checked = []
+
+    def checking_invoke(state, observers):
+        for pos, j in enumerate(state.neighbors.tolist()):
+            expected = sum(estimate_b(state, int(tr.k[t - 1]), int(tr.action[t - 1]),
+                                      int(tr.symbol[t - 1]), state.q, observers, j)
+                           for t in state.buffer)
+            assert state.f[pos] == expected, (name, engine.t, state.action, j)
+        checked.append(len(state.buffer))
+        return real_invoke(state, observers)
+
+    monkeypatch.setattr(pmsim.engine, "invoke", checking_invoke)
+    engine.run()
+    assert len(checked) == horizon and min(checked) >= 1
+    assert np.any(tr.k != tr.action)  # the importance-weighted branch was reached
+
+
+def test_invoke_keeps_distribution_invariants_on_random_costs():
+    game = load_game(os.path.join(DATA, "voronoi_n16.json"))
+    graph, _ = analyze_geometry(game)
+    obs = check_game(game, graph)
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        eta = float(10.0 ** rng.uniform(-4, 1)) if trial % 10 else 1e308
+        gamma = float(rng.choice([0.0, rng.uniform(0, 0.5), 1.0]))
+        i = int(rng.integers(16))
+        state = make_learner(i, graph.neighbors[i], 16, eta, gamma, obs)
+        n = len(state.neighbors)
+        for _ in range(5):
+            state.f[:] = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                invoke(state, obs)
+            assert abs(state.x.sum() - 1.0) <= 1e-12
+            assert abs(state.q.sum() - 1.0) <= 1e-12
+            assert state.q[state.neighbors].min() >= gamma / n - 1e-12
+            assert not state.f.any() and not state.buffer
 
 
 def test_exp_weights_identity_on_zero_costs():
@@ -127,20 +180,21 @@ def test_exp_weights_shift_invariance():
 
 def test_invoke_zero_costs_keeps_uniform(apple_setup):
     game, graph, obs = apple_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.5, gamma=0.0)
-    state.buffer.append(_record(game, state, k=0, played=0, outcome=1))
-    invoke(state, obs)
+    learners = _learners(graph, obs, eta=0.5, gamma=0.0)
+    add_round(learners, 1, 0, 0, _symbol(game, 0, 1))
+    state = invoke(learners[0], obs)
     np.testing.assert_allclose(state.q, [0.5, 0.5], atol=1e-15)
-    assert state.count == 1 and not state.buffer
+    assert not state.f.any() and not state.buffer
 
 
 def test_invoke_gamma_mixing(bandit_setup):
     game, graph, obs = bandit_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=1.0, gamma=0.2)
+    learners = _learners(graph, obs, eta=1.0, gamma=0.2)
+    state = learners[0]
     # huge relative cost for the neighbor drives x' to a corner exactly
-    state.buffer.append(_record(game, state, k=0, played=0, outcome=1, t=1))
-    costs_rec = _record(game, state, k=0, played=1, outcome=0, t=2, q=[0.5, 1e-6])
-    state.buffer.append(costs_rec)
+    add_round(learners, 1, 0, 0, _symbol(game, 0, 1))
+    state.q = np.array([0.5, 1e-6])
+    add_round(learners, 2, 0, 1, _symbol(game, 1, 0))
     invoke(state, obs)
     np.testing.assert_allclose(state.x, [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(state.q, [0.9, 0.1], atol=1e-12)
@@ -148,21 +202,21 @@ def test_invoke_gamma_mixing(bandit_setup):
 
 def test_invoke_gamma_zero_means_q_equals_x(bandit_setup):
     game, graph, obs = bandit_setup
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.5, gamma=0.0)
-    state.buffer.append(_record(game, state, k=0, played=1, outcome=0, q=[0.5, 0.5]))
-    invoke(state, obs)
+    learners = _learners(graph, obs, eta=0.5, gamma=0.0)
+    add_round(learners, 1, 0, 1, _symbol(game, 1, 0))
+    state = invoke(learners[0], obs)
     np.testing.assert_array_equal(state.q, state.x)
 
 
 def test_invoke_restores_distribution_invariants(bandit_setup):
     game, graph, obs = bandit_setup
     rng = np.random.default_rng(4)
-    state = make_learner(0, graph.neighbors[0], 2, eta=0.8, gamma=0.3)
+    learners = _learners(graph, obs, eta=0.8, gamma=0.3)
+    state = learners[0]
     for t in range(1, 60):
         k = int(rng.integers(2))
-        played = int(rng.integers(2)) if k != 0 else int(rng.choice([0, 1]))
-        state.buffer.append(_record(game, state, k=k, played=played,
-                                    outcome=int(rng.integers(2)), t=t))
+        played = int(rng.integers(2))
+        add_round(learners, t, k, played, _symbol(game, played, int(rng.integers(2))))
         if k == 0:
             invoke(state, obs)
             assert abs(state.q.sum() - 1.0) <= 1e-12
@@ -170,6 +224,27 @@ def test_invoke_restores_distribution_invariants(bandit_setup):
             assert np.all(state.q[state.neighbors] >= 0.3 / 2 - 1e-15)
             mixed = (1 - 0.3) * state.x + 0.3 / 2
             np.testing.assert_array_equal(state.q[state.neighbors], mixed)
+
+
+def test_exp_weights_overflow_takes_the_eta_limit():
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(
+            exp_weights_step(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1e308), [0.0, 1.0])
+        # ties share the mass in proportion to x; entries outside x's support stay at zero
+        np.testing.assert_allclose(exp_weights_step(
+            np.array([0.2, 0.3, 0.5, 0.0]), np.array([-2.0, -2.0, 1.0, -5.0]), 1e308),
+            [0.4, 0.6, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_array_equal(
+            exp_weights_step(np.array([0.5, 0.5]), np.array([3.0, 2.0]), 1e308), [0.0, 1.0])
+        np.testing.assert_array_equal(
+            exp_weights_step(np.array([0.5, 0.5]), np.array([-5.0, -3.0]), 1e308), [1.0, 0.0])
+
+
+def test_exp_weights_underflow_renormalizes_over_the_support():
+    # x's only live entry sits 1000 below the dead one's exponent: exp underflows to 0
+    out = exp_weights_step(np.array([0.0, 0.7, 0.3]), np.array([0.0, 1000.0, 1000.5]), 1.0)
+    np.testing.assert_allclose(out, [0.0, 0.7, 0.3 * np.exp(-0.5)] / (0.7 + 0.3 * np.exp(-0.5)),
+                               rtol=1e-14)
 
 
 def test_estimator_unbiased_small_scale(bandit_setup):
