@@ -5,7 +5,8 @@ import pytest
 from _mc import check_unbiased
 
 import pmsim.engine
-from pmsim import AdaptiveWorst, Engine, EngineConfig, analyze_geometry, catalog, check_game
+from pmsim import AdaptiveWorst, Engine, EngineConfig, analyze_geometry, catalog, check_game, \
+    resolve_game
 from pmsim.games import load_game
 from pmsim.learner import (
     add_round,
@@ -104,15 +105,15 @@ def test_aggregate_blind_self_round_is_all_zero(apple_setup):
     assert learners[0].buffer == [1] and not learners[1].buffer
 
 
-def _exactness_games():
-    games = [(e.name, e.game) for e in catalog() if e.expected_observable]
-    return games + [(name, load_game(os.path.join(DATA, name + ".json")))
-                    for name in ("voronoi_n16", "bandit3")]
+EXACTNESS_GAMES = [e.name for e in catalog() if e.expected_observable] + [
+    "voronoi_n16.json", "bandit3.json"]
 
 
-@pytest.mark.parametrize("name,game", _exactness_games(), ids=lambda v: v if isinstance(v, str) else "")
-def test_running_costs_equal_summed_estimates(name, game, monkeypatch):
+@pytest.mark.parametrize("name", EXACTNESS_GAMES)
+def test_running_costs_equal_summed_estimates(name, monkeypatch):
     """Before every invocation, f is the round-order sum of estimate_b, bit for bit."""
+    monkeypatch.chdir(DATA)
+    game, _ = resolve_game(name)
     horizon = 150 if game.n_actions > 3 else 400
     engine = Engine(game, AdaptiveWorst(), horizon, EngineConfig(seed=3))
     tr = engine.transcript
