@@ -26,8 +26,6 @@ from .observability import ObservabilityReport, check_game
 
 FLOW_TOL = 1e-9
 _DIRECT_TOL = 1e-12
-_POWER_TOL = 1e-12
-_POWER_MAX_ITERS = 1_000_000
 
 
 def auto_eta(n_actions: int, v_bar: float, horizon: int) -> float:
@@ -40,11 +38,26 @@ def auto_gamma(horizon: int) -> float:
     return min(0.25, 1.0 / math.sqrt(max(horizon, 1)))
 
 
+def check_rates(eta, gamma) -> None:
+    """Refuse, naming the field, a learning rate or exploration mix the learners cannot use."""
+    if eta != "auto" and not (isinstance(eta, (int, float))
+                              and math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta: need 'auto' or a finite positive number, got {eta!r}")
+    if gamma != "auto" and not (isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0):
+        raise ValueError(f"gamma: need 'auto' or a number in [0, 1], got {gamma!r}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     eta: float | str = "auto"
     gamma: float | str = "auto"
     seed: int = 0
+
+    def __post_init__(self):
+        check_rates(self.eta, self.gamma)
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) \
+                or self.seed < 0:
+            raise ValueError(f"seed: need a non-negative integer, got {self.seed!r}")
 
 
 class Transcript(NamedTuple):
@@ -68,10 +81,10 @@ def fixed_point(Q: np.ndarray) -> np.ndarray:
     """Stationary distribution p = Qp of a column-stochastic matrix.
 
     Direct dense solve of (Q - I) with the last row replaced by the
-    normalization constraint; falls back to damped power iteration from the
-    uniform vector when the direct system is singular (multiple stationary
-    distributions), which also fixes the tie-break: the fallback returns the
-    fixed point nearest its uniform start.
+    normalization constraint.  When that system is singular (multiple
+    stationary distributions) or its solution fails the checks, falls back to
+    :func:`_limit_from_uniform`, the limit of the damped chain from the
+    uniform vector, which also fixes the tie-break between fixed points.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
@@ -100,17 +113,50 @@ def fixed_point(Q: np.ndarray) -> np.ndarray:
             if np.abs(_residual(Q, p)).sum() <= _DIRECT_TOL:
                 return p
 
-    p = np.full(n, 1.0 / n)
-    for _ in range(_POWER_MAX_ITERS):
-        r = _residual(Q, p)
-        if np.abs(r).sum() <= _POWER_TOL:
-            return p
-        p = p + 0.5 * r  # average of p and Qp, damping periodic chains
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
-    raise FixedPointError(
-        f"power iteration did not converge (residual {np.abs(_residual(Q, p)).sum():.3e})"
-    )
+    try:
+        p = _limit_from_uniform(Q)
+    except np.linalg.LinAlgError as exc:
+        raise FixedPointError(f"no fixed point: {exc}") from None
+    residual = np.abs(_residual(Q, p)).sum()
+    if not residual <= FLOW_TOL:
+        raise FixedPointError(f"no fixed point within tolerance (residual {residual:.3e})")
+    return p
+
+
+def _limit_from_uniform(Q: np.ndarray) -> np.ndarray:
+    """Limit of the damped chain ``p <- (p + Qp) / 2`` from the uniform vector.
+
+    The limit puts, on each closed class of the chain, that class's stationary
+    distribution times the mass the chain started from uniform ends up
+    absorbed in it.  Computed from the support of Q directly, so a chain that
+    mixes slowly (a class that leaks mass at rate 1e-9, say) costs no more
+    than one that mixes fast.
+    """
+    n = Q.shape[0]
+    reach = (Q > 0.0) | np.eye(n, dtype=bool)  # reach[i, j]: i is reachable from j
+    for k in range(n):  # transitive closure
+        reach |= reach[:, k, None] & reach[None, k, :]
+    closed = np.all(reach <= reach.T, axis=0)  # j reaches only states that reach it back
+    start = np.full(n, 1.0 / n)
+    transient = ~closed
+    absorbed = start.copy()
+    if transient.any():
+        # mass moved out of the transient states, summed over every visit
+        visits = np.linalg.solve(np.eye(transient.sum()) - Q[np.ix_(transient, transient)],
+                                 start[transient])
+        absorbed[closed] += Q[np.ix_(closed, transient)] @ visits
+    p = np.zeros(n)
+    todo = closed.copy()
+    while todo.any():
+        members = reach[:, todo.nonzero()[0][0]]  # the closed class of the first state left
+        block = Q[np.ix_(members, members)] - np.eye(members.sum())
+        block[-1] = 1.0
+        rhs = np.zeros(members.sum())
+        rhs[-1] = absorbed[members].sum()
+        p[members] = np.linalg.solve(block, rhs)
+        todo &= ~members
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
 
 
 def sample_index(rng: np.random.Generator, pmf: np.ndarray) -> int:

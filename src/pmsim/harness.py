@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
@@ -18,7 +17,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .adversaries import Adversary, AdaptiveWorst, FixedSequence, IID
-from .engine import Engine, EngineConfig
+from .engine import Engine, EngineConfig, check_rates
 from .errors import DegenerateGameError, DominatedActionError, GameFormatError, \
     NotLocallyObservableError
 from .games import Game, load_game
@@ -172,12 +171,7 @@ class ExperimentConfig:
             raise ValueError(f"horizons: need distinct integers of at least 1, "
                              f"got {self.horizons!r}")
         self.seed_list()
-        if self.eta != "auto" and not (isinstance(self.eta, (int, float))
-                                       and math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta: need 'auto' or a finite positive number, got {self.eta!r}")
-        if self.gamma != "auto" and not (isinstance(self.gamma, (int, float))
-                                         and 0.0 <= self.gamma <= 1.0):
-            raise ValueError(f"gamma: need 'auto' or a number in [0, 1], got {self.gamma!r}")
+        check_rates(self.eta, self.gamma)
         spec = _adversary_doc(self.adversary)
         n_fixed = len(spec.get("outcomes", []))
         if spec.get("kind") == "fixed" and n_fixed < max(self.horizons):

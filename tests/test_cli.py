@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -6,6 +7,9 @@ import pmsim.cli
 import pmsim.engine
 from pmsim.cli import main
 from pmsim.errors import FixedPointError, LPSolverError
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +38,13 @@ def test_graph_output(capsys):
     doc = json.loads(out)
     assert doc["neighbors"] == [[0, 1], [0, 1]]
     assert doc["pair_margins"] == [{"i": 0, "j": 1, "margin": "inf"}]
+
+
+@pytest.mark.parametrize("name", ["voronoi_n16_lpfault_a.json", "voronoi_n16_lpfault_b.json"])
+def test_graph_on_phase1_drift_games(capsys, name):
+    code, out, err = run_cli(capsys, "graph", os.path.join(DATA, name))
+    assert code == 0, err
+    assert len(json.loads(out)["neighbors"]) == 16
 
 
 def test_graph_rejects_dominated(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsim import Game, GameFormatError, parse_game
 
@@ -158,3 +159,42 @@ def test_reparse_is_deterministic(bandit_mp_random):
     for i in range(a.n_actions):
         assert a.signal_matrix(i).symbols == b.signal_matrix(i).symbols
         np.testing.assert_array_equal(a.signal_matrix(i).matrix, b.signal_matrix(i).matrix)
+
+
+_SYMBOLS = st.sampled_from(["0", "1", "2", "*", "hit", "miss"])
+_LOSS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def game_docs(draw):
+    n, m = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    doc = {"loss": draw(st.lists(st.lists(_LOSS, min_size=m, max_size=m),
+                                 min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        doc["signals"] = draw(st.lists(st.lists(_SYMBOLS, min_size=m, max_size=m),
+                                       min_size=n, max_size=n))
+    else:
+        cells = []
+        for _ in range(n * m):
+            counts = draw(st.dictionaries(_SYMBOLS, st.integers(0, 9), min_size=1))
+            if not any(counts.values()):
+                counts[next(iter(counts))] = 1
+            total = sum(counts.values())
+            cells.append({sym: c / total for sym, c in counts.items()})
+        doc["signal_dists"] = [cells[i * m:(i + 1) * m] for i in range(n)]
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=game_docs())
+def test_to_dict_round_trips_through_parse_game(doc):
+    game = parse_game(json.dumps(doc))
+    out = game.to_dict()
+    again = parse_game(json.dumps(out))
+    assert again.to_dict() == out
+    assert np.array_equal(again.loss, game.loss) and again.loss.tolist() == doc["loss"]
+    assert again.random_signals == game.random_signals == ("signal_dists" in doc)
+    for a, b in zip(again.signal_matrices, game.signal_matrices):
+        assert a.symbols == b.symbols and np.array_equal(a.matrix, b.matrix)
+    if "signals" in doc:
+        assert out == doc

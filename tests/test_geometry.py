@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from pmsim import (
@@ -10,10 +13,14 @@ from pmsim import (
     best_response,
     build_graph,
     cell_margin,
+    load_game,
     pair_margin,
     second_best,
 )
 from pmsim.geometry import MARGIN_TOL
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def _full_info(loss):
@@ -64,6 +71,29 @@ def linprog_cell_margin(L, i):
     A_eq[0, :m] = 1.0
     res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n - 1), A_eq=A_eq, b_eq=[1.0],
                   bounds=[(0, None)] * m + [(None, None)], method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def linprog_pair_margin(L, i, j):
+    """max d  s.t.  q in simplex,  (L_i - L_j).q = 0,  (L_k - L_i).q >= d  for k != i, j."""
+    n, m = L.shape
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    rows = [k for k in range(n) if k not in (i, j)]
+    A_ub = np.zeros((len(rows), m + 1))
+    A_ub[:, :m] = -(L[rows] - L[i])
+    A_ub[:, -1] = 1.0
+    A_eq = np.zeros((2, m + 1))
+    A_eq[0, :m] = 1.0
+    A_eq[1, :m] = L[i] - L[j]
+    res = linprog(c, A_ub=A_ub if rows else None, b_ub=np.zeros(len(rows)) if rows else None,
+                  A_eq=A_eq, b_eq=[1.0, 0.0],
+                  bounds=[(0, None)] * m + [(None, None)], method="highs")
+    if res.status == 2:
+        return -np.inf
+    if res.status == 3:
+        return np.inf
     assert res.status == 0
     return -res.fun
 
@@ -139,6 +169,55 @@ def test_pair_margin_against_sweep_oracle():
             assert ours == ref
         else:
             assert ours == pytest.approx(ref, abs=1e-6)
+
+
+def _voronoi_loss(rng, n, m):
+    """Losses |e_j - c_i|^2 of Dirichlet centers: every cell is the Voronoi cell of c_i."""
+    centers = rng.dirichlet(np.ones(m), size=n)
+    return ((np.eye(m)[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["voronoi", "uniform", "rounded"]))
+def test_margins_match_linprog(n, m, seed, kind):
+    """Every cell and pair margin of random Voronoi and general N x M games, against HiGHS."""
+    rng = np.random.default_rng(seed)
+    if kind == "voronoi":
+        L = _voronoi_loss(rng, n, m)
+    else:
+        L = rng.random((n, m))
+        if kind == "rounded":  # coarse grid: ties, empty cells and degenerate faces
+            L = np.round(L, 1)
+    for i in range(n):
+        assert cell_margin(L, i) == pytest.approx(linprog_cell_margin(L, i), abs=1e-8)
+        for j in range(i + 1, n):
+            ours, ref = pair_margin(L, i, j), linprog_pair_margin(L, i, j)
+            if np.isinf(ours) or np.isinf(ref):
+                assert ours == ref
+            else:
+                assert ours == pytest.approx(ref, abs=1e-8)
+
+
+# Two N=16, M=6 Voronoi games on which an earlier simplex reported phase 1
+# unbounded: the margin LP that failed, and its value from HiGHS
+LP_FAULT_GAMES = [
+    ("voronoi_n16_lpfault_a.json", (5,), 0.0812274096),
+    ("voronoi_n16_lpfault_b.json", (4, 7), 0.0134450960),
+]
+
+
+@pytest.mark.parametrize("name, actions, expected", LP_FAULT_GAMES)
+def test_phase1_drift_games_build(name, actions, expected):
+    game = load_game(os.path.join(DATA, name))
+    graph, report = build_graph(game)
+    assert report.clean and graph.is_connected()
+    if len(actions) == 1:
+        ours, ref = cell_margin(game.loss, *actions), linprog_cell_margin(game.loss, *actions)
+    else:
+        ours, ref = pair_margin(game.loss, *actions), linprog_pair_margin(game.loss, *actions)
+    assert ours == pytest.approx(ref, abs=1e-9)
+    assert ours == pytest.approx(expected, abs=1e-9)
 
 
 def test_pair_margin_symmetry():
