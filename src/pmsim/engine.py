@@ -47,6 +47,11 @@ def check_rates(eta, gamma) -> None:
         raise ValueError(f"gamma: need 'auto' or a number in [0, 1], got {gamma!r}")
 
 
+def is_seed(seed) -> bool:
+    """A non-negative integer, as ``np.random.SeedSequence`` takes (``bool`` excluded)."""
+    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     eta: float | str = "auto"
@@ -55,8 +60,7 @@ class EngineConfig:
 
     def __post_init__(self):
         check_rates(self.eta, self.gamma)
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) \
-                or self.seed < 0:
+        if not is_seed(self.seed):
             raise ValueError(f"seed: need a non-negative integer, got {self.seed!r}")
 
 

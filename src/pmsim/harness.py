@@ -17,7 +17,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .adversaries import Adversary, AdaptiveWorst, FixedSequence, IID
-from .engine import Engine, EngineConfig, check_rates
+from .engine import Engine, EngineConfig, check_rates, is_seed
 from .errors import DegenerateGameError, DominatedActionError, GameFormatError, \
     NotLocallyObservableError
 from .games import Game, load_game
@@ -179,8 +179,13 @@ class ExperimentConfig:
                              f"fewer than the largest horizon {max(self.horizons)}")
 
     def seed_list(self) -> list[int]:
-        seeds = list(range(self.seeds)) if isinstance(self.seeds, int) \
-            else [int(s) for s in self.seeds]
+        if isinstance(self.seeds, int):
+            seeds = list(range(self.seeds))
+        elif isinstance(self.seeds, (list, tuple)) and all(is_seed(s) for s in self.seeds):
+            seeds = [int(s) for s in self.seeds]
+        else:
+            raise ValueError(f"seeds: need a count or a list of non-negative integers, "
+                             f"got {self.seeds!r}")
         if not seeds:
             raise ValueError(f"seeds: need at least one seed, got {self.seeds!r}")
         if len(set(seeds)) != len(seeds):

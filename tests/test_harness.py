@@ -132,3 +132,14 @@ def test_config_round_trip():
     assert config.seed_list() == [1, 5]
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"game": "bandit_mp", "bogus": 1})
+
+
+@pytest.mark.parametrize("seeds", [[1.5, 2.7], ["3"], [-1], [True], 1.5, "1,2"])
+def test_config_rejects_non_integer_seeds(seeds):
+    # 1.5 and 2.7 used to be truncated to seeds 1 and 2 without a word
+    with pytest.raises(ValueError, match="^seeds: "):
+        ExperimentConfig(game="bandit_mp", seeds=seeds)
+
+
+def test_config_accepts_numpy_integer_seeds():
+    assert ExperimentConfig(game="bandit_mp", seeds=[np.int64(4), 9]).seed_list() == [4, 9]
