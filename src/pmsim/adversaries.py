@@ -43,7 +43,7 @@ class IID(Adversary):
 
     def __init__(self, dist):
         self.dist = np.asarray(dist, dtype=float)
-        if np.any(self.dist < 0) or abs(self.dist.sum() - 1.0) > 1e-9:
+        if not (np.all(self.dist >= 0) and abs(self.dist.sum() - 1.0) <= 1e-9):  # NaN fails too
             raise ValueError(f"not an outcome distribution: {dist!r}")
         self._cum = np.cumsum(self.dist)
 
@@ -79,4 +79,4 @@ class AdaptiveWorst(Adversary):
                     self._counts[self._recent.popleft()] -= 1
         self._seen = len(history)
         totals = self._counts @ self.game.loss
-        return int(np.argmax(totals == totals.max()))
+        return int(totals.argmax())  # the first maximum: ties go to the smallest outcome

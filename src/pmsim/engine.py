@@ -7,6 +7,13 @@ obtains the signal, routes the round to the (at most two) learners whose
 estimators can use it, and invokes the sampled neighborhood's learner.
 Direct sampling from p and the two-level scheme agree exactly because p is
 stationary for Q; the engine asserts that identity every round.
+
+Only the invoked learner's column of Q changes in a round.  The engine checks
+that column when it writes it (every column once, when it is built) and
+updates the flow system ``Q - I``, normalisation row last, beside Q in O(n),
+so :func:`fixed_point` neither re-checks nor rebuilds it.  The residual
+``|Qp - p|`` is computed once per round, inside :func:`fixed_point`, and
+serves both its own acceptance test and the engine's flow-condition maxima.
 """
 
 from __future__ import annotations
@@ -77,53 +84,76 @@ class Transcript(NamedTuple):
     loss: np.ndarray
 
 
-def _residual(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return Q @ p - p
+def check_column(q: np.ndarray, k: int) -> None:
+    """Refuse a column ``q`` of Q, naming it as column ``k``, that is not a distribution."""
+    total = q.sum()
+    if not (q.min() >= -1e-10 and abs(total - 1.0) <= 1e-10):  # NaN fails too
+        raise FixedPointError(f"non-stochastic column {k} (sum {total!r})")
 
 
-def fixed_point(Q: np.ndarray) -> np.ndarray:
+def flow_system(Q: np.ndarray) -> np.ndarray:
+    """Check every column of Q, then return ``Q - I`` with its last row set to ones.
+
+    The row of ones is the normalisation ``sum(p) = 1``; the other rows are ``Qp = p``.
+    """
+    for k in range(Q.shape[0]):
+        check_column(Q[:, k], k)
+    A = Q - np.eye(Q.shape[0])
+    A[-1, :] = 1.0
+    return A
+
+
+def fixed_point(Q: np.ndarray, A: np.ndarray | None = None,
+                residual: np.ndarray | None = None) -> np.ndarray:
     """Stationary distribution p = Qp of a column-stochastic matrix.
 
-    Direct dense solve of (Q - I) with the last row replaced by the
-    normalization constraint.  When that system is singular (multiple
-    stationary distributions) or its solution fails the checks, falls back to
-    :func:`_limit_from_uniform`, the limit of the damped chain from the
-    uniform vector, which also fixes the tie-break between fixed points.
+    Direct dense solve of the flow system ``A`` (see :func:`flow_system`).
+    When that system is singular (multiple stationary distributions) or its
+    solution fails the checks, falls back to :func:`_limit_from_uniform`, the
+    limit of the damped chain from the uniform vector, which also fixes the
+    tie-break between fixed points.  Two actions skip the solve: the balance
+    equation gives p.
+
+    Called with ``Q`` alone, checks every column and builds ``A`` with
+    :func:`flow_system`.  The engine instead passes the ``A`` it keeps beside
+    ``Q``, whose columns it checked as it wrote them, and a ``residual``
+    buffer, which receives ``|Qp - p|`` for the returned p: the round's
+    residual is computed once, here, and the engine reads its maxima from it.
     """
-    Q = np.asarray(Q, dtype=float)
+    if A is None:
+        Q = np.asarray(Q, dtype=float)
+        A = flow_system(Q)
     n = Q.shape[0]
-    colsum = Q.sum(axis=0)
-    if Q.min() < -1e-10 or np.abs(colsum - 1.0).max() > 1e-10:
-        bad = int(np.argmax(np.abs(colsum - 1.0)))
-        raise FixedPointError(f"non-stochastic column {bad} (sum {colsum[bad]!r})")
+    if residual is None:
+        residual = np.empty(n)
 
     if n == 2:
         # balance equation: mass(2->1) * p1 = mass(1->2) * p0
         a, b = max(Q[0, 1], 0.0), max(Q[1, 0], 0.0)
         if a + b > _DIRECT_TOL:
-            return np.array([a / (a + b), b / (a + b)])
+            p = np.array([a / (a + b), b / (a + b)])
+            np.abs(Q @ p - p, out=residual)
+            return p
     else:
-        A = Q - np.eye(n)
-        A[-1, :] = 1.0
         rhs = np.zeros(n)
         rhs[-1] = 1.0
         try:
             p = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             p = None
-        if p is not None and np.all(p >= -1e-12):
-            p = np.clip(p, 0.0, None)
+        if p is not None and p.min() >= -1e-12:
+            p = np.maximum(p, 0.0)
             p /= p.sum()
-            if np.abs(_residual(Q, p)).sum() <= _DIRECT_TOL:
+            if np.abs(Q @ p - p, out=residual).sum() <= _DIRECT_TOL:
                 return p
 
     try:
         p = _limit_from_uniform(Q)
     except np.linalg.LinAlgError as exc:
         raise FixedPointError(f"no fixed point: {exc}") from None
-    residual = np.abs(_residual(Q, p)).sum()
-    if not residual <= FLOW_TOL:
-        raise FixedPointError(f"no fixed point within tolerance (residual {residual:.3e})")
+    l1 = np.abs(Q @ p - p, out=residual).sum()
+    if not l1 <= FLOW_TOL:
+        raise FixedPointError(f"no fixed point within tolerance (residual {l1:.3e})")
     return p
 
 
@@ -159,7 +189,7 @@ def _limit_from_uniform(Q: np.ndarray) -> np.ndarray:
         rhs[-1] = absorbed[members].sum()
         p[members] = np.linalg.solve(block, rhs)
         todo &= ~members
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     return p / p.sum()
 
 
@@ -219,6 +249,8 @@ class Engine:
             for i in range(n)
         ]
         self.Q = np.column_stack([lr.q for lr in self.learners])
+        self.A = flow_system(self.Q)  # kept in step with Q, one column per round
+        self.residual = np.empty(n)  # |Qp - p| of the current round, from fixed_point
         self.t = 0
         self.transcript = Transcript(*np.zeros((4, horizon), dtype=np.intp),
                                      loss=np.zeros(horizon))
@@ -230,8 +262,8 @@ class Engine:
         if self.t >= self.horizon:
             raise RuntimeError("horizon exhausted")
         self.t += 1
-        p = fixed_point(self.Q)
-        r = np.abs(_residual(self.Q, p))
+        p = fixed_point(self.Q, self.A, self.residual)
+        r = self.residual
         l1 = float(r.sum())
         self.max_flow_residual_l1 = max(self.max_flow_residual_l1, l1)
         self.max_flow_residual_linf = max(self.max_flow_residual_linf, float(r.max()))
@@ -250,7 +282,12 @@ class Engine:
         tr.symbol[row], tr.loss[row] = symbol, self.game.loss[a, j]
 
         add_round(self.learners, self.t, k, a, symbol)
-        self.Q[:, k] = invoke(self.learners[k], self.observers).q
+        q = invoke(self.learners[k], self.observers).q
+        check_column(q, k)
+        self.Q[:, k] = q
+        self.A[:-1, k] = q[:-1]
+        if k < len(q) - 1:
+            self.A[k, k] = q[k] - 1.0  # the bits of (Q - I)[k, k]
 
     def run(self) -> Transcript:
         while self.t < self.horizon:

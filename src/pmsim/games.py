@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class SignalMatrix:
         return len(self.symbols)
 
 
-@dataclass(frozen=True)
-class SignalObservation:
+class SignalObservation(NamedTuple):
     """One observed signal: a unit vector over the played action's symbols."""
 
     t: int
@@ -191,7 +190,7 @@ class Game:
                 sym = len(cum) - 1
         else:
             sym = int(self._symbol_of[i][j])
-        return SignalObservation(t=t, action=i, symbol=sym, vector=self._units[i][sym])
+        return SignalObservation(t, i, sym, self._units[i][sym])
 
     def to_dict(self) -> dict:
         """Round-trippable document form (see :func:`parse_game`)."""

@@ -1,7 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
-from pmsim import AdaptiveWorst, EngineConfig, FixedSequence, IID, run
+from pmsim import AdaptiveWorst, EngineConfig, FixedSequence, Game, IID, load_game, run
+
+VORONOI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "voronoi_n16.json")
 
 
 def test_fixed_sequence_indexing(bandit_mp):
@@ -53,3 +57,39 @@ def test_iid_outcomes_independent_of_learner_parameters(bandit_mp):
         tr = run(bandit_mp, IID([0.3, 0.7]), 400, EngineConfig(gamma=gamma, seed=9))
         runs[gamma] = tr.outcome.tolist()
     assert runs[0.0] == runs[0.25]
+
+
+def _old_tie_break(counts, loss):
+    totals = counts @ loss
+    return int(np.argmax(totals == totals.max()))
+
+
+def test_adaptive_worst_tie_break_on_voronoi_counts():
+    """``totals.argmax()`` picks what the masked argmax picked, on list and array histories."""
+    game = load_game(VORONOI)
+    rng = np.random.default_rng(16)
+    for trial in range(200):
+        history = rng.integers(16, size=int(rng.integers(0, 60))).tolist()
+        counts = np.bincount(history, minlength=16).astype(float)
+        adv = AdaptiveWorst()
+        adv.bind(game)
+        got = adv.next_outcome(len(history) + 1, history if trial % 2 else np.array(history))
+        assert got == _old_tie_break(counts, game.loss)
+
+
+@pytest.mark.parametrize("front", [False, True])
+def test_adaptive_worst_exact_ties_go_to_the_smallest_outcome(front):
+    """Repeating an action's worst column ties two totals exactly; the smaller index wins."""
+    L = load_game(VORONOI).loss
+    for a in range(16):
+        worst = int(L[a].argmax())
+        loss = np.column_stack([L[:, worst], L]) if front else np.column_stack([L, L[:, worst]])
+        game = Game.deterministic(loss, [["x"] * loss.shape[1]] * 16)
+        adv = AdaptiveWorst()
+        adv.bind(game)
+        history = [a] * 5
+        totals = np.bincount(history, minlength=16).astype(float) @ loss
+        assert (totals == totals.max()).sum() == 2  # an exact tie
+        got = adv.next_outcome(6, history)
+        assert got == _old_tie_break(np.bincount(history, minlength=16).astype(float), loss)
+        assert got == (0 if front else worst)

@@ -1,7 +1,10 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pmsim.cli
 import pmsim.engine
@@ -153,7 +156,7 @@ def test_solver_failures_exit_1_without_traceback(tmp_path, capsys, monkeypatch)
     def failing_lp(game):
         raise LPSolverError("phase 1 reported an unbounded auxiliary problem")
 
-    def failing_fixed_point(Q):
+    def failing_fixed_point(*args):
         raise FixedPointError("power iteration did not converge")
 
     monkeypatch.setattr(pmsim.cli, "build_graph", failing_lp)
@@ -166,3 +169,38 @@ def test_solver_failures_exit_1_without_traceback(tmp_path, capsys, monkeypatch)
                            "--out", str(tmp_path))
     assert code == 1
     assert err == "pm: internal solver failure: power iteration did not converge\n"
+
+
+# valid and invalid values per flag of pm run, on bandit_mp (two outcomes);
+# every valid horizon is in 2..8, so a one-outcome fixed: sequence is too short
+RUN_FLAGS = {
+    "--T": (["2", "5", "3,8"],
+            ["0", "-5", "nan", "inf", "1e400", "", "2.5", "4,4", "abc"]),
+    "--eta": (["auto", "0.3", "1e-300", "1e308"],
+              ["0", "-1", "nan", "inf", "-inf", "", "fast"]),
+    "--gamma": (["auto", "0", "0.5", "1"],
+                ["-0.1", "1.5", "nan", "inf", "1e308", ""]),
+    "--seeds": (["1", "2", "0,7", "18446744073709551616,1"],
+                ["0", "-1", "", "nan", "1,1", "2.5", "1e400", "1,-3"]),
+    "--adversary": (["uniform", "adaptive", "adaptive:3", "iid:0.25,0.75",
+                     "fixed:" + ",".join("01" * 4)],
+                    ["adaptive:0", "adaptive:-2", "iid:0.5,0.5,0", "iid:1", "iid:nan,nan",
+                     "iid:inf,-inf", "iid:0.7,0.7", "fixed:0", "fixed:0,2,0,1,0,1,0,1",
+                     "fixed:", "zap", ""]),
+}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad=st.sets(st.sampled_from(sorted(RUN_FLAGS)), max_size=2), data=st.data())
+def test_run_flags_exit_0_or_2_without_nan(capsys, bad, data):
+    """Good flags with up to two bad ones: exit 0 if none is bad, else 2; never a NaN."""
+    argv = ["run", "--game", "bandit_mp"]
+    for flag, (good, wrong) in RUN_FLAGS.items():
+        argv.append(f"{flag}={data.draw(st.sampled_from(wrong if flag in bad else good))}")
+    with tempfile.TemporaryDirectory() as out_dir:
+        code, out, err = run_cli(capsys, *argv, "--out", out_dir)
+        written = [path.read_text() for path in Path(out_dir).glob("**/*.json")]
+    assert code == (2 if bad else 0), (argv, err)
+    assert "Traceback" not in err
+    assert "NaN" not in out and not any("NaN" in text for text in written)

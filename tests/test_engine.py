@@ -1,7 +1,11 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pmsim.engine
 from pmsim import (
     Engine,
     EngineConfig,
@@ -10,9 +14,13 @@ from pmsim import (
     IID,
     NotLocallyObservableError,
     fixed_point,
+    make_adversary,
+    resolve_game,
     run,
 )
 from pmsim.engine import sample_index
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_fixed_point_identical_columns():
@@ -203,3 +211,60 @@ def test_fixed_point_on_random_column_stochastic_matrices(n, seed, zeros):
     assert np.all(p >= 0.0)
     assert abs(p.sum() - 1.0) <= 1e-12
     assert np.abs(Q @ p - p).sum() <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["voronoi_n16.json", "bandit3.json", "full_info_3x3"])
+@pytest.mark.parametrize("adversary, gamma", [("adaptive", "auto"), ("adaptive", 0.0),
+                                              ("uniform", "auto")])
+def test_flow_system_tracks_q_every_round(name, adversary, gamma, monkeypatch):
+    """The engine's A is Q - I with a row of ones last, bit for bit, after every round."""
+    monkeypatch.chdir(DATA)
+    game, _ = resolve_game(name)
+    engine = Engine(game, make_adversary(adversary, game), 120, EngineConfig(gamma=gamma, seed=4))
+    n = game.n_actions
+    while engine.t < engine.horizon:
+        engine.step()
+        expected = engine.Q - np.eye(n)
+        expected[-1] = 1.0
+        assert np.array_equal(engine.A, expected), (name, engine.t)
+    assert len(set(engine.transcript.k.tolist())) > 1  # more than one column was rewritten
+
+
+@pytest.mark.parametrize("fault", ["sum", "negative"])
+def test_non_stochastic_column_raises_when_written(bandit_mp, fault, monkeypatch):
+    """The column check runs on the column invoke returns, in the round it is written."""
+    engine = Engine(bandit_mp, IID([0.5, 0.5]), 20, EngineConfig(seed=6))
+    real_invoke = pmsim.engine.invoke
+    bad_round = 7
+
+    def faulty_invoke(state, observers):
+        q = real_invoke(state, observers).q.copy()
+        if engine.t == bad_round:
+            if fault == "sum":
+                q[0] += 1e-6  # sums to 1 + 1e-6
+            else:
+                q[0], q[1] = -1e-6, q[1] + q[0] + 1e-6  # sums to 1, one entry -1e-6
+        return SimpleNamespace(q=q)
+
+    monkeypatch.setattr(pmsim.engine, "invoke", faulty_invoke)
+    for _ in range(bad_round - 1):
+        engine.step()
+    with pytest.raises(FixedPointError) as exc_info:
+        engine.step()
+    assert engine.t == bad_round
+    k = int(engine.transcript.k[bad_round - 1])
+    assert str(exc_info.value).startswith(f"non-stochastic column {k} (sum ")
+
+
+def test_engine_checks_every_column_when_built(bandit_mp, monkeypatch):
+    real_make = pmsim.engine.make_learner
+
+    def make_with_bad_column(i, *args):
+        state = real_make(i, *args)
+        if i == 1:
+            state.q[1] += 1e-6
+        return state
+
+    monkeypatch.setattr(pmsim.engine, "make_learner", make_with_bad_column)
+    with pytest.raises(FixedPointError, match=r"^non-stochastic column 1 \(sum "):
+        Engine(bandit_mp, IID([0.5, 0.5]), 5)
