@@ -88,8 +88,8 @@ def test_adaptive_worst_exact_ties_go_to_the_smallest_outcome(front):
         adv = AdaptiveWorst()
         adv.bind(game)
         history = [a] * 5
-        totals = np.bincount(history, minlength=16).astype(float) @ loss
+        counts = np.bincount(history, minlength=16).astype(float)
+        totals = counts @ loss
         assert (totals == totals.max()).sum() == 2  # an exact tie
         got = adv.next_outcome(6, history)
-        assert got == _old_tie_break(np.bincount(history, minlength=16).astype(float), loss)
-        assert got == (0 if front else worst)
+        assert got == _old_tie_break(counts, loss) == (0 if front else worst)
