@@ -78,5 +78,5 @@ class AdaptiveWorst(Adversary):
                 if len(self._recent) > self.window:
                     self._counts[self._recent.popleft()] -= 1
         self._seen = len(history)
-        totals = self._counts @ self.game.loss
+        totals = self._counts.dot(self.game.loss)
         return int(totals.argmax())  # the first maximum: ties go to the smallest outcome

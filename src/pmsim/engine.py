@@ -14,6 +14,13 @@ updates the flow system ``Q - I``, normalisation row last, beside Q in O(n),
 so :func:`fixed_point` neither re-checks nor rebuilds it.  The residual
 ``|Qp - p|`` is computed once per round, inside :func:`fixed_point`, and
 serves both its own acceptance test and the engine's flow-condition maxima.
+
+The solve calls LAPACK's ``solve1`` gufunc directly, with the same bits:
+``np.linalg.solve``'s Python checks around it cost more than a 16x16 solve.
+A singular system then gives NaN and numpy's invalid flag, not an exception;
+:meth:`Engine.run` silences that flag, and the overflow that
+:func:`~pmsim.learner.exp_weights_step` handles, with one ``np.errstate`` per
+run rather than one per round.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from .adversaries import Adversary
 from .errors import FixedPointError, NotLocallyObservableError
@@ -86,8 +94,8 @@ class Transcript(NamedTuple):
 
 def check_column(q: np.ndarray, k: int) -> None:
     """Refuse a column ``q`` of Q, naming it as column ``k``, that is not a distribution."""
-    total = q.sum()
-    if not (q.min() >= -1e-10 and abs(total - 1.0) <= 1e-10):  # NaN fails too
+    total = np.add.reduce(q)
+    if not (np.minimum.reduce(q) >= -1e-10 and abs(total - 1.0) <= 1e-10):  # NaN fails too
         raise FixedPointError(f"non-stochastic column {k} (sum {total!r})")
 
 
@@ -107,22 +115,27 @@ def fixed_point(Q: np.ndarray, A: np.ndarray | None = None,
                 residual: np.ndarray | None = None) -> np.ndarray:
     """Stationary distribution p = Qp of a column-stochastic matrix.
 
-    Direct dense solve of the flow system ``A`` (see :func:`flow_system`).
-    When that system is singular (multiple stationary distributions) or its
-    solution fails the checks, falls back to :func:`_limit_from_uniform`, the
+    Direct dense solve of the flow system ``A`` (see :func:`flow_system`) by
+    the LAPACK gufunc under ``np.linalg.solve``.  When that system is
+    singular (multiple stationary distributions) the gufunc returns NaN;
+    then, or when the solution fails the checks, falls back to
+    :func:`_limit_from_uniform`, the
     limit of the damped chain from the uniform vector, which also fixes the
     tie-break between fixed points.  Two actions skip the solve: the balance
     equation gives p.
 
-    Called with ``Q`` alone, checks every column and builds ``A`` with
-    :func:`flow_system`.  The engine instead passes the ``A`` it keeps beside
-    ``Q``, whose columns it checked as it wrote them, and a ``residual``
-    buffer, which receives ``|Qp - p|`` for the returned p: the round's
-    residual is computed once, here, and the engine reads its maxima from it.
+    Called with ``Q`` alone, checks every column, builds ``A`` with
+    :func:`flow_system` and solves under its own ``np.errstate``, so a
+    singular system stays silent.  The engine instead passes the ``A`` it
+    keeps beside ``Q``, whose columns it checked as it wrote them, and a
+    ``residual`` buffer, which receives ``|Qp - p|`` for the returned p: the
+    round's residual is computed once, here, and the engine reads its maxima
+    from it.  That form leaves the errstate to :meth:`Engine.run`.
     """
     if A is None:
         Q = np.asarray(Q, dtype=float)
-        A = flow_system(Q)
+        with np.errstate(invalid="ignore"):
+            return fixed_point(Q, flow_system(Q), residual)
     n = Q.shape[0]
     if residual is None:
         residual = np.empty(n)
@@ -132,26 +145,23 @@ def fixed_point(Q: np.ndarray, A: np.ndarray | None = None,
         a, b = max(Q[0, 1], 0.0), max(Q[1, 0], 0.0)
         if a + b > _DIRECT_TOL:
             p = np.array([a / (a + b), b / (a + b)])
-            np.abs(Q @ p - p, out=residual)
+            np.abs(Q.dot(p) - p, out=residual)
             return p
     else:
         rhs = np.zeros(n)
         rhs[-1] = 1.0
-        try:
-            p = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            p = None
-        if p is not None and p.min() >= -1e-12:
+        p = _lapack_solve(A, rhs, signature="dd->d")  # all NaN if A is singular
+        if np.minimum.reduce(p) >= -1e-12:  # NaN fails
             p = np.maximum(p, 0.0)
-            p /= p.sum()
-            if np.abs(Q @ p - p, out=residual).sum() <= _DIRECT_TOL:
+            p /= np.add.reduce(p)
+            if np.add.reduce(np.abs(Q.dot(p) - p, out=residual)) <= _DIRECT_TOL:
                 return p
 
     try:
         p = _limit_from_uniform(Q)
     except np.linalg.LinAlgError as exc:
         raise FixedPointError(f"no fixed point: {exc}") from None
-    l1 = np.abs(Q @ p - p, out=residual).sum()
+    l1 = np.add.reduce(np.abs(Q.dot(p) - p, out=residual))
     if not l1 <= FLOW_TOL:
         raise FixedPointError(f"no fixed point within tolerance (residual {l1:.3e})")
     return p
@@ -258,15 +268,20 @@ class Engine:
         self.max_flow_residual_linf = 0.0
 
     def step(self) -> None:
-        """Play one round and write it into the transcript's row ``t - 1``."""
+        """Play one round and write it into the transcript's row ``t - 1``.
+
+        Enters no ``np.errstate``: outside :meth:`run`, a singular flow system
+        makes numpy warn, and ``p`` still comes from the fallback.
+        """
         if self.t >= self.horizon:
             raise RuntimeError("horizon exhausted")
         self.t += 1
         p = fixed_point(self.Q, self.A, self.residual)
         r = self.residual
-        l1 = float(r.sum())
+        l1 = float(np.add.reduce(r))
         self.max_flow_residual_l1 = max(self.max_flow_residual_l1, l1)
-        self.max_flow_residual_linf = max(self.max_flow_residual_linf, float(r.max()))
+        self.max_flow_residual_linf = max(self.max_flow_residual_linf,
+                                          float(np.maximum.reduce(r)))
         if l1 > FLOW_TOL:
             raise FixedPointError(f"flow condition violated at round {self.t}: {l1:.3e}")
         self.p = p
@@ -290,8 +305,13 @@ class Engine:
             self.A[k, k] = q[k] - 1.0  # the bits of (Q - I)[k, k]
 
     def run(self) -> Transcript:
-        while self.t < self.horizon:
-            self.step()
+        """Play the remaining rounds under one ``np.errstate``, restored on exit.
+
+        Held per run, not per round, as entering one costs about a microsecond.
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            while self.t < self.horizon:
+                self.step()
         return self.transcript
 
 

@@ -104,8 +104,8 @@ def exp_weights_step(x: np.ndarray, f: np.ndarray, eta: float) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     z = -eta * f
-    w = x * np.exp(z - z.max())
-    total = w.sum()
+    w = x * np.exp(z - np.maximum.reduce(z))
+    total = np.add.reduce(w)
     if not (total > 0.0 and math.isfinite(total)):
         live = x > 0.0
         z = np.where(live, z, -np.inf)

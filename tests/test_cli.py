@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -144,9 +145,12 @@ def test_run_rejects_bad_adversary_in_config(tmp_path, capsys, adversary):
 
 
 def test_run_with_overflowing_eta_takes_the_limit(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "run", "--game", "bandit_mp", "--T", "50",
-                             "--eta", "1e308", "--out", str(tmp_path))
-    assert code == 0 and "Traceback" not in err
+    """The overflow of ``-eta * f`` is handled silently: any warning fails the run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "run", "--game", "bandit_mp", "--T", "50",
+                                 "--eta", "1e308", "--out", str(tmp_path))
+    assert code == 0 and err == ""
     assert "NaN" not in out
     for path in tmp_path.glob("**/*.json"):
         assert "NaN" not in path.read_text()

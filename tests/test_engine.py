@@ -1,4 +1,5 @@
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from pmsim import (
     resolve_game,
     run,
 )
-from pmsim.engine import sample_index
+from pmsim.engine import FLOW_TOL, sample_index
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -34,7 +35,13 @@ def test_fixed_point_two_state_balance():
 
 
 def test_fixed_point_identity_ties_to_uniform():
-    np.testing.assert_allclose(fixed_point(np.eye(3)), [1 / 3] * 3, atol=1e-12)
+    """A singular system: the one-argument form takes the fallback silently."""
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = fixed_point(np.eye(3))
+    np.testing.assert_allclose(p, [1 / 3] * 3, atol=1e-12)
+    assert np.geterr() == before
 
 
 def test_fixed_point_reducible_fallback():
@@ -268,3 +275,67 @@ def test_engine_checks_every_column_when_built(bandit_mp, monkeypatch):
     monkeypatch.setattr(pmsim.engine, "make_learner", make_with_bad_column)
     with pytest.raises(FixedPointError, match=r"^non-stochastic column 1 \(sum "):
         Engine(bandit_mp, IID([0.5, 0.5]), 5)
+
+
+def absorbing_engine(monkeypatch, horizon, fail_at=None):
+    """An engine whose states 0 and 1 are absorbing, so its flow system is exactly singular.
+
+    Columns 0 and 1 of Q start as unit vectors, and the patched ``invoke``
+    writes ``e_k`` into every column k it rewrites; each column stays
+    stochastic, but Q has two closed classes every round.  Returns the engine
+    and a list of the rounds in which the closed-class fallback ran.
+    """
+    game, _ = resolve_game("full_info_3x3")
+    engine = Engine(game, IID([1 / 3] * 3), horizon, EngineConfig(seed=8))
+    unit = np.eye(game.n_actions)
+    engine.Q[:, :2] = unit[:, :2]
+    engine.A = pmsim.engine.flow_system(engine.Q)
+
+    def unit_column(state, observers):
+        if engine.t == fail_at:
+            raise RuntimeError("invoke failed part-way")
+        return SimpleNamespace(q=unit[state.action])
+
+    fallback_rounds = []
+    real_limit = pmsim.engine._limit_from_uniform
+
+    def counted_limit(Q):
+        fallback_rounds.append(engine.t)
+        return real_limit(Q)
+
+    monkeypatch.setattr(pmsim.engine, "invoke", unit_column)
+    monkeypatch.setattr(pmsim.engine, "_limit_from_uniform", counted_limit)
+    return engine, fallback_rounds
+
+
+def test_singular_flow_system_takes_the_fallback_silently_in_run(monkeypatch):
+    """Engine.run's errstate silences the singular solve and is restored after the run."""
+    engine, fallback_rounds = absorbing_engine(monkeypatch, 60)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        engine.run()
+    assert np.geterr() == before
+    assert fallback_rounds == list(range(1, 61))
+    assert engine.max_flow_residual_l1 <= FLOW_TOL
+    assert set(engine.transcript.k.tolist()) == {0, 1}  # the two closed classes
+
+
+def test_run_restores_errstate_when_a_round_raises(monkeypatch):
+    engine, fallback_rounds = absorbing_engine(monkeypatch, 60, fail_at=30)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="invoke failed part-way"):
+            engine.run()
+    assert engine.t == 30 and fallback_rounds == list(range(1, 31))
+    assert np.geterr() == before
+
+
+def test_step_outside_run_warns_on_a_singular_system_and_falls_back(monkeypatch):
+    engine, fallback_rounds = absorbing_engine(monkeypatch, 5)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in solve1"):
+        engine.step()
+    assert fallback_rounds == [1]
+    assert engine.max_flow_residual_l1 <= FLOW_TOL
+
