@@ -119,10 +119,9 @@ def fixed_point(Q: np.ndarray, A: np.ndarray | None = None,
     the LAPACK gufunc under ``np.linalg.solve``.  When that system is
     singular (multiple stationary distributions) the gufunc returns NaN;
     then, or when the solution fails the checks, falls back to
-    :func:`_limit_from_uniform`, the
-    limit of the damped chain from the uniform vector, which also fixes the
-    tie-break between fixed points.  Two actions skip the solve: the balance
-    equation gives p.
+    :func:`_limit_from_uniform`, the limit of the damped chain from the
+    uniform vector, which also fixes the tie-break between fixed points.
+    Two actions skip the solve: the balance equation gives p.
 
     Called with ``Q`` alone, checks every column, builds ``A`` with
     :func:`flow_system` and solves under its own ``np.errstate``, so a
