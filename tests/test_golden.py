@@ -41,6 +41,12 @@ CASES = {
     **{f"bandit3-{adv}": dict(game="bandit3.json", adversary=adv, horizons=[300, 2000],
                               seeds=2, checkpoints=[100, 300, 1000, 2000])
        for adv in ("uniform", "adaptive")},
+    # random signals with zero-weight symbols, so cumulative signal columns have
+    # flat tails; the iid opponent never plays its last outcome
+    "noisy3-iid": dict(game="noisy3.json", adversary="iid:0.6,0.4,0", horizons=[100, 400],
+                       seeds=2, checkpoints=[50, 100, 400]),
+    "noisy3-adaptive": dict(game="noisy3.json", adversary="adaptive", horizons=[100, 400],
+                            seeds=2, checkpoints=[50, 100, 400]),
     # run from the data directory so that summary.json records the bare file name
     "voronoi-n16": dict(game="voronoi_n16.json", adversary="adaptive", horizons=[60],
                         seeds=1, checkpoints=[1, 30, 60]),
@@ -75,6 +81,10 @@ DIGESTS = {
         "192d3555b239be81283d1f01b457b3c12e4ecea153781319007d38dbf68095a0",
     "bandit3-adaptive":
         "935407084851bd7bfe8abc13540e6b03d973c6ea0a62871c38b397aee6fb6980",
+    "noisy3-iid":
+        "1db4dd65db34187be0549ce7927dacf07064cd26163687d44faf10ae0bed5915",
+    "noisy3-adaptive":
+        "25a9a47733bcc906bd99e33cb3a2a25425f58c5238a489e7ce1e5e0190c8883c",
     "voronoi-n16":
         "78f88af09d49cb2e7c6f8d578e85a55f8e89945c6ce53a030587823c53fbb494",
 }
