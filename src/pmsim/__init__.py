@@ -17,7 +17,7 @@ from .errors import (
     NotLocallyObservableError,
     PmsimError,
 )
-from .games import Game, SignalMatrix, SignalObservation, load_game, parse_game
+from .games import Game, SignalMatrix, load_game, parse_game
 from .geometry import (
     NeighborhoodGraph,
     analyze_geometry,
@@ -44,7 +44,7 @@ __all__ = [
     "Engine", "EngineConfig", "ExperimentConfig", "FixedPointError", "FixedSequence",
     "Game", "GameFormatError", "IID", "NeighborhoodGraph", "NotLocallyObservableError",
     "ObservabilityReport", "ObserverVector", "PmsimError", "RegretCurves", "RegretReport",
-    "SignalMatrix", "SignalObservation", "Transcript", "analyze_geometry",
+    "SignalMatrix", "Transcript", "analyze_geometry",
     "auto_eta", "auto_gamma", "best_response", "build_graph", "catalog",
     "cell_margin", "check_game", "fit_slope", "fixed_point", "load_game",
     "make_adversary", "pair_margin", "parse_game", "regret_curves", "regret_report",

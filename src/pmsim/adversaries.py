@@ -9,10 +9,11 @@ sequences of non-reactive kinds do not shift when learner parameters change.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 
 import numpy as np
 
-from .games import Game
+from .games import Game, draw_index
 
 
 class Adversary:
@@ -45,11 +46,10 @@ class IID(Adversary):
         self.dist = np.asarray(dist, dtype=float)
         if not (np.all(self.dist >= 0) and abs(self.dist.sum() - 1.0) <= 1e-9):  # NaN fails too
             raise ValueError(f"not an outcome distribution: {dist!r}")
-        self._cum = np.cumsum(self.dist)
+        self._cum = list(accumulate(self.dist.tolist()))
 
     def next_outcome(self, t: int, history) -> int:
-        j = int(np.searchsorted(self._cum, self.rng.random(), side="right"))
-        return min(j, len(self.dist) - 1)
+        return draw_index(self.rng, self._cum)
 
 
 class AdaptiveWorst(Adversary):

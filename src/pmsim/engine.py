@@ -15,18 +15,17 @@ so :func:`fixed_point` neither re-checks nor rebuilds it.  The residual
 ``|Qp - p|`` is computed once per round, inside :func:`fixed_point`, and
 serves both its own acceptance test and the engine's flow-condition maxima.
 
-The solve calls LAPACK's ``solve1`` gufunc directly, with the same bits:
-``np.linalg.solve``'s Python checks around it cost more than a 16x16 solve.
-A singular system then gives NaN and numpy's invalid flag, not an exception;
-:meth:`Engine.run` silences that flag, and the overflow that
-:func:`~pmsim.learner.exp_weights_step` handles, with one ``np.errstate`` per
-run rather than one per round.
+The solve calls LAPACK's ``solve1`` gufunc directly, as ``np.linalg.solve``'s
+Python checks cost more than a 16x16 solve; :meth:`Engine.run` holds the one
+``np.errstate`` that keeps a singular system's NaN silent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +33,7 @@ from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from .adversaries import Adversary
 from .errors import FixedPointError, NotLocallyObservableError
-from .games import Game
+from .games import Game, draw_index
 from .geometry import NeighborhoodGraph, build_graph
 from .learner import LearnerState, add_round, invoke, make_learner
 from .observability import ObservabilityReport, check_game
@@ -55,16 +54,25 @@ def auto_gamma(horizon: int) -> float:
 
 def check_rates(eta, gamma) -> None:
     """Refuse, naming the field, a learning rate or exploration mix the learners cannot use."""
-    if eta != "auto" and not (isinstance(eta, (int, float))
-                              and math.isfinite(eta) and eta > 0):
+    if eta != "auto" and not (is_number(eta) and math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta: need 'auto' or a finite positive number, got {eta!r}")
-    if gamma != "auto" and not (isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0):
+    if gamma != "auto" and not (is_number(gamma) and 0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma: need 'auto' or a number in [0, 1], got {gamma!r}")
 
 
+def is_number(x) -> bool:
+    """An int or a float, ``bool`` excluded so that ``true`` is not read as 1."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def is_integer(x) -> bool:
+    """An int or a numpy integer, ``bool`` excluded."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def is_seed(seed) -> bool:
-    """A non-negative integer, as ``np.random.SeedSequence`` takes (``bool`` excluded)."""
-    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
+    """A non-negative integer, as ``np.random.SeedSequence`` takes."""
+    return is_integer(seed) and seed >= 0
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,14 @@ def flow_system(Q: np.ndarray) -> np.ndarray:
     return A
 
 
+@functools.lru_cache(maxsize=None)
+def _last_unit(n: int) -> np.ndarray:
+    """The flow system's right-hand side ``[0, ..., 0, 1]``, built once per n, read-only."""
+    rhs = np.eye(n)[-1]
+    rhs.setflags(write=False)
+    return rhs
+
+
 def fixed_point(Q: np.ndarray, A: np.ndarray | None = None,
                 residual: np.ndarray | None = None) -> np.ndarray:
     """Stationary distribution p = Qp of a column-stochastic matrix.
@@ -147,9 +163,7 @@ def fixed_point(Q: np.ndarray, A: np.ndarray | None = None,
             np.abs(Q.dot(p) - p, out=residual)
             return p
     else:
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
-        p = _lapack_solve(A, rhs, signature="dd->d")  # all NaN if A is singular
+        p = _lapack_solve(A, _last_unit(n), signature="dd->d")  # all NaN if A is singular
         if np.minimum.reduce(p) >= -1e-12:  # NaN fails
             p = np.maximum(p, 0.0)
             p /= np.add.reduce(p)
@@ -203,17 +217,8 @@ def _limit_from_uniform(Q: np.ndarray) -> np.ndarray:
 
 
 def sample_index(rng: np.random.Generator, pmf: np.ndarray) -> int:
-    """Inverse-CDF draw consuming exactly one uniform."""
-    u = rng.random()
-    acc = 0.0
-    last = 0
-    for i, w in enumerate(pmf.tolist()):
-        if w > 0.0:
-            acc += w
-            if u < acc:
-                return i
-            last = i
-    return last  # total mass a hair under 1.0
+    """Inverse-CDF draw from ``pmf`` consuming exactly one uniform (see :func:`draw_index`)."""
+    return draw_index(rng, list(accumulate(pmf.tolist())))
 
 
 class Engine:
@@ -289,7 +294,7 @@ class Engine:
         a = sample_index(self.rng, self.learners[k].q)
         tr = self.transcript
         j = self.adversary.next_outcome(self.t, tr.action[:self.t - 1])
-        symbol = self.game.observe(a, j, self.rng, t=self.t).symbol
+        symbol = self.game.observe(a, j, self.rng)
 
         row = self.t - 1
         tr.k[row], tr.action[row], tr.outcome[row] = k, a, j

@@ -12,8 +12,10 @@ interface between the game and the learning machinery.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -40,15 +42,6 @@ class SignalMatrix:
     @property
     def n_symbols(self) -> int:
         return len(self.symbols)
-
-
-class SignalObservation(NamedTuple):
-    """One observed signal: a unit vector over the played action's symbols."""
-
-    t: int
-    action: int
-    symbol: int
-    vector: np.ndarray
 
 
 def _as_loss_matrix(loss: Any) -> np.ndarray:
@@ -79,23 +72,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _deterministic_signal_matrix(i: int, row: Sequence[str], M: int) -> SignalMatrix:
-    symbols: list[str] = []
-    index: dict[str, int] = {}
-    for sym in row:
-        if sym not in index:
-            index[sym] = len(symbols)
-            symbols.append(sym)
-    S = np.zeros((len(symbols), M))
-    for j, sym in enumerate(row):
-        S[index[sym], j] = 1.0
-    return SignalMatrix(action=i, symbols=tuple(symbols), matrix=_frozen(S))
+def draw_index(rng: np.random.Generator, cum: list[float]) -> int:
+    """Inverse-CDF draw from cumulative weights ``cum``, consuming exactly one uniform.
+
+    Returns the first index whose cumulative weight exceeds the uniform.  When
+    the uniform is at or past the total, which weights summing to a hair under
+    1 allow, returns the last index with positive weight.
+    """
+    i = bisect_right(cum, rng.random())
+    return i if i < len(cum) else bisect_left(cum, cum[-1])
 
 
 def _random_signal_matrix(i: int, row: Sequence[dict[str, float]], M: int) -> SignalMatrix:
-    symbols: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # symbol -> row, in order of first positive weight
     for j, cell in enumerate(row):
+        if not isinstance(cell, dict) or not cell:
+            raise GameFormatError(f"row {i + 1} col {j + 1}: expected a symbol->weight mapping")
         total = 0.0
         for sym in sorted(cell):
             w = float(cell[sym])
@@ -104,19 +96,16 @@ def _random_signal_matrix(i: int, row: Sequence[dict[str, float]], M: int) -> Si
                     f"row {i + 1} col {j + 1}: negative weight {w:.12g} for symbol {sym!r}"
                 )
             total += w
-            if w > 0 and sym not in index:
-                index[sym] = len(symbols)
-                symbols.append(sym)
+            if w > 0:
+                index.setdefault(sym, len(index))
         if abs(total - 1.0) > DIST_TOL:
-            raise GameFormatError(
-                f"row {i + 1} col {j + 1}: distribution sums to {total:.12g}"
-            )
-    xi = np.zeros((len(symbols), M))
+            raise GameFormatError(f"row {i + 1} col {j + 1}: distribution sums to {total:.12g}")
+    xi = np.zeros((len(index), M))
     for j, cell in enumerate(row):
         for sym, w in cell.items():
             if w > 0:
                 xi[index[sym], j] = float(w)
-    return SignalMatrix(action=i, symbols=tuple(symbols), matrix=_frozen(xi))
+    return SignalMatrix(action=i, symbols=tuple(index), matrix=_frozen(xi))
 
 
 class Game:
@@ -133,35 +122,25 @@ class Game:
         self.random_signals = random_signals
         self.n_actions = self.loss.shape[0]
         self.n_outcomes = self.loss.shape[1]
-        # per-action column cumsums; for deterministic games every column is
-        # a unit vector so the same sampling code degenerates to a lookup
-        self._symbol_of = [m.matrix.argmax(axis=0) for m in signal_matrices]
-        self._cum = [np.cumsum(m.matrix, axis=0) for m in signal_matrices]
-        self._units = [_frozen(np.eye(m.n_symbols)) for m in signal_matrices]
+        # [i][j]: the symbol a deterministic cell shows, and the cumulative
+        # symbol weights a random cell draws from
+        self._symbol_of = [m.matrix.argmax(axis=0).tolist() for m in signal_matrices]
+        self._cum = [[list(accumulate(col)) for col in m.matrix.T.tolist()]
+                     for m in signal_matrices]
 
     @classmethod
     def deterministic(cls, loss, symbol_rows: Sequence[Sequence[str]]) -> "Game":
         L = _as_loss_matrix(loss)
         _check_feedback_shape(symbol_rows, L.shape, "signals")
-        mats = tuple(
-            _deterministic_signal_matrix(i, [str(s) for s in symbol_rows[i]], L.shape[1])
-            for i in range(L.shape[0])
-        )
+        rows = [[{str(s): 1.0} for s in row] for row in symbol_rows]  # point masses
+        mats = tuple(_random_signal_matrix(i, row, L.shape[1]) for i, row in enumerate(rows))
         return cls(L, mats, random_signals=False)
 
     @classmethod
     def with_random_signals(cls, loss, dist_rows: Sequence[Sequence[dict[str, float]]]) -> "Game":
         L = _as_loss_matrix(loss)
         _check_feedback_shape(dist_rows, L.shape, "signal_dists")
-        for i, row in enumerate(dist_rows):
-            for j, cell in enumerate(row):
-                if not isinstance(cell, dict) or not cell:
-                    raise GameFormatError(
-                        f"row {i + 1} col {j + 1}: expected a symbol->weight mapping"
-                    )
-        mats = tuple(
-            _random_signal_matrix(i, dist_rows[i], L.shape[1]) for i in range(L.shape[0])
-        )
+        mats = tuple(_random_signal_matrix(i, row, L.shape[1]) for i, row in enumerate(dist_rows))
         return cls(L, mats, random_signals=True)
 
     def signal_matrix(self, i: int) -> SignalMatrix:
@@ -173,46 +152,27 @@ class Game:
             raise ValueError(f"stacked signal matrix needs two distinct actions, got {i}")
         return np.vstack([self.signal_matrices[i].matrix, self.signal_matrices[j].matrix])
 
-    def observe(self, i: int, j: int, rng: np.random.Generator | None = None,
-                t: int = 0) -> SignalObservation:
-        """Signal the player sees when playing ``i`` against outcome ``j``.
+    def observe(self, i: int, j: int, rng: np.random.Generator | None = None) -> int:
+        """Index, in action ``i``'s symbols, of the signal seen against outcome ``j``.
 
         Deterministic games never touch ``rng``; random-signal games consume
-        exactly one uniform draw per call.
+        exactly one uniform per call, through :func:`draw_index`.
         """
         if self.random_signals:
             if rng is None:
                 raise ValueError("random-signal game requires an rng")
-            u = rng.random()
-            cum = self._cum[i][:, j]
-            sym = int(np.searchsorted(cum, u, side="right"))
-            if sym >= len(cum):
-                sym = len(cum) - 1
-        else:
-            sym = int(self._symbol_of[i][j])
-        return SignalObservation(t, i, sym, self._units[i][sym])
+            return draw_index(rng, self._cum[i][j])
+        return self._symbol_of[i][j]
 
     def to_dict(self) -> dict:
         """Round-trippable document form (see :func:`parse_game`)."""
-        doc: dict[str, Any] = {"loss": self.loss.tolist()}
+        cells = [[{sym: w for sym, w in zip(m.symbols, col) if w > 0}
+                  for col in m.matrix.T.tolist()] for m in self.signal_matrices]
         if self.random_signals:
-            doc["signal_dists"] = [
-                [
-                    {
-                        sym: float(m.matrix[k, j])
-                        for k, sym in enumerate(m.symbols)
-                        if m.matrix[k, j] > 0
-                    }
-                    for j in range(self.n_outcomes)
-                ]
-                for m in self.signal_matrices
-            ]
-        else:
-            doc["signals"] = [
-                [m.symbols[int(self._symbol_of[m.action][j])] for j in range(self.n_outcomes)]
-                for m in self.signal_matrices
-            ]
-        return doc
+            return {"loss": self.loss.tolist(), "signal_dists": cells}
+        # a deterministic cell is a point mass on its one symbol
+        return {"loss": self.loss.tolist(), "signals": [[next(iter(c)) for c in row]
+                                                        for row in cells]}
 
     def __repr__(self) -> str:
         kind = "random" if self.random_signals else "deterministic"

@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from .adversaries import Adversary, AdaptiveWorst, FixedSequence, IID
-from .engine import Engine, EngineConfig, check_rates, is_seed
+from .engine import Engine, EngineConfig, check_rates, is_integer, is_number, is_seed
 from .errors import DegenerateGameError, DominatedActionError, GameFormatError, \
     NotLocallyObservableError
 from .games import Game, load_game
@@ -86,12 +86,11 @@ def resolve_game(name_or_path: str) -> tuple[Game, str]:
     raise GameFormatError(f"no catalog game or file named {name_or_path!r}")
 
 
-def _adversary_doc(spec: Any) -> dict:
-    """Dict form of an adversary spec given as a dict or a shorthand string."""
-    if isinstance(spec, dict):
-        return spec
-    if not isinstance(spec, str):
-        raise ValueError(f"adversary: need a spec string or object, got {spec!r}")
+def _list_of(check, x) -> bool:
+    return isinstance(x, (list, tuple)) and all(map(check, x))
+
+
+def _shorthand_doc(spec: str) -> dict:
     kind, _, arg = spec.partition(":")
     if kind == "uniform":
         return {"kind": "iid", "dist": "uniform"}
@@ -102,6 +101,29 @@ def _adversary_doc(spec: Any) -> dict:
     if kind == "adaptive":
         return {"kind": "adaptive", "window": int(arg) if arg else None}
     raise ValueError(f"unknown adversary spec {spec!r}")
+
+
+def _adversary_doc(spec: Any) -> dict:
+    """Dict form of an adversary spec given as a dict or a shorthand string, type-checked."""
+    if isinstance(spec, str):
+        spec = _shorthand_doc(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(f"adversary: need a spec string or object, got {spec!r}")
+    kind = spec.get("kind")
+    if kind == "iid":
+        dist = spec.get("dist", "uniform")
+        if dist != "uniform" and not _list_of(is_number, dist):
+            raise ValueError(f"adversary: iid dist must be 'uniform' or numbers, got {dist!r}")
+    elif kind == "fixed":
+        if not _list_of(is_integer, spec.get("outcomes", [])):
+            raise ValueError(f"adversary: need integer fixed outcomes, got {spec['outcomes']!r}")
+    elif kind == "adaptive":
+        window = spec.get("window")
+        if not (window is None or (is_integer(window) and window >= 1)):
+            raise ValueError(f"adversary: need a positive integer window or null, got {window!r}")
+    else:
+        raise ValueError(f"adversary: unknown kind {kind!r}")
+    return spec
 
 
 def make_adversary(spec: Any, game: Game) -> Adversary:
@@ -115,21 +137,22 @@ def make_adversary(spec: Any, game: Game) -> Adversary:
     m = game.n_outcomes
     if kind == "iid":
         dist = spec.get("dist", "uniform")
-        if isinstance(dist, str) and dist == "uniform":
+        if dist == "uniform":
             dist = [1.0 / m] * m
         if len(dist) != m:
             raise ValueError(f"adversary: iid distribution has {len(dist)} entries, "
                              f"the game has {m} outcomes")
-        return IID(dist)
+        try:
+            return IID(dist)
+        except ValueError as exc:
+            raise ValueError(f"adversary: {exc}") from None
     if kind == "fixed":
         outcomes = spec.get("outcomes", [])
         bad = [j for j in outcomes if not 0 <= j < m]
         if bad:
             raise ValueError(f"adversary: fixed outcome {bad[0]} is not in 0..{m - 1}")
         return FixedSequence(outcomes)
-    if kind == "adaptive":
-        return AdaptiveWorst(spec.get("window"))
-    raise ValueError(f"unknown adversary kind {kind!r}")
+    return AdaptiveWorst(spec.get("window"))
 
 
 class SlopeFit(NamedTuple):
@@ -165,13 +188,18 @@ class ExperimentConfig:
     out_dir: str = "pm_out"
 
     def __post_init__(self):
-        """Refuse, naming the field, input that would crash a run or write NaN."""
-        if not self.horizons or len(set(self.horizons)) < len(self.horizons) or not all(
-                isinstance(T, (int, np.integer)) and T >= 1 for T in self.horizons):
+        """Refuse, naming the field, input that would crash a run, write NaN or be rounded."""
+        for name in ("game", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name}: need a name or a path, got {getattr(self, name)!r}")
+        if not (_list_of(is_integer, self.horizons) and self.horizons and min(self.horizons) >= 1
+                and len(set(self.horizons)) == len(self.horizons)):
             raise ValueError(f"horizons: need distinct integers of at least 1, "
                              f"got {self.horizons!r}")
         self.seed_list()
         check_rates(self.eta, self.gamma)
+        if not (self.checkpoints is None or _list_of(is_integer, self.checkpoints)):
+            raise ValueError(f"checkpoints: need a list of integers, got {self.checkpoints!r}")
         spec = _adversary_doc(self.adversary)
         n_fixed = len(spec.get("outcomes", []))
         if spec.get("kind") == "fixed" and n_fixed < max(self.horizons):
@@ -179,9 +207,9 @@ class ExperimentConfig:
                              f"fewer than the largest horizon {max(self.horizons)}")
 
     def seed_list(self) -> list[int]:
-        if isinstance(self.seeds, int):
+        if is_integer(self.seeds):
             seeds = list(range(self.seeds))
-        elif isinstance(self.seeds, (list, tuple)) and all(is_seed(s) for s in self.seeds):
+        elif _list_of(is_seed, self.seeds):
             seeds = [int(s) for s in self.seeds]
         else:
             raise ValueError(f"seeds: need a count or a list of non-negative integers, "
@@ -193,12 +221,14 @@ class ExperimentConfig:
         return seeds
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {"game", "adversary", "horizons", "seeds", "eta", "gamma",
-                 "checkpoints", "out_dir"}
-        unknown = set(doc) - known
+    def from_dict(cls, doc: Any) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config: need a JSON object, got {type(doc).__name__}")
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"config: unknown keys {sorted(unknown)}")
+        if "game" not in doc:
+            raise ValueError("game: missing from the config")
         return cls(**doc)
 
 

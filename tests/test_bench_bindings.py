@@ -43,4 +43,9 @@ def test_tracer_and_setup_clock_wrap_a_run(tmp_path, monkeypatch):
     assert invokes == 200  # the sampled learner is invoked every round
     assert len(arr["buffer_len"]) == invokes
     assert 1.0 <= float(np.mean(arr["buffer_len"])) <= 3.0
+    spans_of = {name: int((arr["name"] == tracer.names.index(name)).sum())
+                for name in ("engine.sample_index", "games.observe", "adversaries.next_outcome")}
+    # two draws (k, then I) through the module global, one signal and one move per round
+    assert spans_of == {"engine.sample_index": 400, "games.observe": 200,
+                        "adversaries.next_outcome": 200}
     assert pmsim.engine.invoke is originals[[t[1] for t in spans.TARGETS].index("invoke")]

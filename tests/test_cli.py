@@ -144,6 +144,44 @@ def test_run_rejects_bad_adversary_in_config(tmp_path, capsys, adversary):
     assert err.startswith("pm: adversary") and "Traceback" not in err
 
 
+FIXED_2 = {"horizons": [2]}  # a two-outcome sequence covers the horizon
+MISSING = object()  # drops the key from the document
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([1], "config"),
+    ({"game": MISSING}, "game"),
+    ({"game": None}, "game"),
+    ({"game": ["bandit_mp"]}, "game"),
+    ({"checkpoints": 5}, "checkpoints"),
+    ({"checkpoints": ["a"]}, "checkpoints"),
+    ({"checkpoints": [1.7]}, "checkpoints"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"horizons": 5}, "horizons"),
+    ({"horizons": [True]}, "horizons"),
+    ({"seeds": True}, "seeds"),
+    ({"eta": True}, "eta"),
+    ({"gamma": False}, "gamma"),
+    ({"adversary": {"kind": "adaptive", "window": "x"}}, "adversary"),
+    ({"adversary": {"kind": "adaptive", "window": True}}, "adversary"),
+    ({"adversary": {"kind": "fixed", "outcomes": "ab"}, **FIXED_2}, "adversary"),
+    ({"adversary": {"kind": "fixed", "outcomes": [0.5, 1]}, **FIXED_2}, "adversary"),
+    ({"adversary": {"kind": "iid", "dist": 5}}, "adversary"),
+    ({"adversary": {"kind": "iid", "dist": [True, False]}}, "adversary"),
+])
+def test_run_rejects_bad_config_document(tmp_path, capsys, doc, field):
+    """Each document exits 2 naming the field; none ends in a traceback or runs."""
+    if isinstance(doc, dict):
+        doc = {"game": "bandit_mp", "horizons": [10], "out_dir": str(tmp_path / "out"), **doc}
+        doc = {k: v for k, v in doc.items() if v is not MISSING}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
+    assert err.startswith(f"pm: {field}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_with_overflowing_eta_takes_the_limit(tmp_path, capsys):
     """The overflow of ``-eta * f`` is handled silently: any warning fails the run."""
     with warnings.catch_warnings():

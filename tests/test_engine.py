@@ -89,6 +89,34 @@ def test_sample_index_statistics():
     np.testing.assert_allclose(counts / 40_000, pmf, atol=0.01)
 
 
+def reference_sample_index(rng, pmf):
+    """The engine's draw as a loop over the weights: one uniform, the last positive on rounding."""
+    u = rng.random()
+    acc = 0.0
+    last = 0
+    for i, w in enumerate(pmf.tolist()):
+        if w > 0.0:
+            acc += w
+            if u < acc:
+                return i
+            last = i
+    return last
+
+
+def test_sample_index_matches_the_reference_loop():
+    """Same index and same stream position, including past the total of a short pmf."""
+    maker = np.random.default_rng(11)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for trial in range(20_000):
+        n = int(maker.integers(2, 17))
+        pmf = maker.random(n) * (maker.random(n) < 0.7)
+        pmf[maker.integers(n)] = 0.0
+        if pmf.sum() > 0.0:
+            # most pmfs sum to 1 up to rounding; every fourth stops short of 1
+            pmf /= pmf.sum() * (1.0 if trial % 4 else 1.25)
+        assert sample_index(rng, pmf) == reference_sample_index(ref_rng, pmf)
+
+
 def test_run_gates_unobservable_games(label_efficient):
     with pytest.raises(Exception) as exc_info:
         run(label_efficient, IID([0.5, 0.5]), 10)

@@ -1,10 +1,15 @@
 import json
+import os
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsim import Game, GameFormatError, parse_game
+from pmsim import IID, Game, GameFormatError, parse_game, resolve_game
+from pmsim.engine import sample_index
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 BANDIT_DOC = json.dumps({"loss": [[0, 1], [1, 0]], "signals": [["0", "1"], ["1", "0"]]})
 
@@ -103,12 +108,9 @@ def test_stacked_row_count_and_self_pair_error(full_info_3x3):
 
 def test_observe_deterministic_is_pure():
     game = Game.deterministic([[0, 1, 0], [1, 0, 1]], [["a", "b", "a"], ["c", "c", "c"]])
-    obs = game.observe(0, 2)
-    assert obs.symbol == 0  # symbol "a"
-    np.testing.assert_array_equal(obs.vector, [1, 0])
-    again = game.observe(0, 2)
-    assert again.symbol == obs.symbol
-    np.testing.assert_array_equal(again.vector, obs.vector)
+    assert game.observe(0, 2) == 0  # symbol "a"
+    assert game.observe(0, 2) == 0
+    assert game.observe(0, 1) == 1 and game.observe(1, 1) == 0
 
 
 def test_observe_degenerate_distribution_is_constant():
@@ -116,7 +118,7 @@ def test_observe_degenerate_distribution_is_constant():
         [[0, 1], [1, 0]], [[{"a": 1.0}, {"b": 1.0}], [{"c": 1.0}] * 2])
     rng = np.random.default_rng(0)
     for _ in range(50):
-        assert game.observe(0, 0, rng).symbol == 0
+        assert game.observe(0, 0, rng) == 0
 
 
 def test_observe_monte_carlo_frequency():
@@ -124,15 +126,47 @@ def test_observe_monte_carlo_frequency():
         [[0, 1], [1, 0]], [[{"a": 0.5, "b": 0.5}, {"a": 1.0}], [{"c": 1.0}] * 2])
     rng = np.random.default_rng(12345)
     n = 100_000
-    hits = sum(game.observe(0, 0, rng).symbol == 0 for _ in range(n))
+    hits = sum(game.observe(0, 0, rng) == 0 for _ in range(n))
     assert abs(hits / n - 0.5) < 0.01
 
 
-def test_observation_is_unit_vector(bandit_mp_random):
+@pytest.mark.parametrize("name", ["bandit_mp_random", "noisy3.json", "bandit3.json"])
+def test_observation_is_a_symbol_with_positive_probability(name, monkeypatch):
+    monkeypatch.chdir(DATA)
+    game, _ = resolve_game(name)
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        obs = bandit_mp_random.observe(0, rng.integers(2), rng)
-        assert obs.vector.sum() == 1.0 and set(obs.vector) <= {0.0, 1.0}
+    for _ in range(600):
+        i, j = int(rng.integers(game.n_actions)), int(rng.integers(game.n_outcomes))
+        sym = game.observe(i, j, rng)
+        assert type(sym) is int
+        assert 0 <= sym < game.signal_matrix(i).n_symbols
+        assert game.signal_matrix(i).matrix[sym, j] > 0
+
+
+class TopUniform:
+    """A generator whose every uniform is 1 - 2**-53, the largest ``random()`` returns."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+TENTHS = [0.1] * 10  # summed left to right: 1 - 2**-53, so the top uniform is past the total
+
+
+def test_every_sampler_past_the_total_returns_the_last_positive_index():
+    assert list(accumulate(TENTHS))[-1] == TopUniform().random()
+    assert sample_index(TopUniform(), np.array(TENTHS + [0.0])) == 9
+
+    adversary = IID(TENTHS + [0.0])
+    adversary.bind(None, TopUniform())
+    assert adversary.next_outcome(1, []) == 9
+
+    # symbol "z" is action 0's eleventh symbol, with weight 0 under outcome 0
+    cell = {f"s{k}": w for k, w in enumerate(TENTHS)}
+    game = Game.with_random_signals([[0, 1], [1, 0]], [[cell, {"z": 1.0}], [{"c": 1.0}] * 2])
+    assert game.signal_matrix(0).symbols[-1] == "z"
+    assert game.observe(0, 0, TopUniform()) == 9
+    assert game.observe(0, 1, TopUniform()) == 10
 
 
 def test_columns_stay_stochastic_after_parse():

@@ -37,7 +37,7 @@ def _learners(graph, obs, eta, gamma):
 
 
 def _symbol(game, played, outcome):
-    return game.observe(played, outcome, np.random.default_rng(0)).symbol
+    return game.observe(played, outcome, np.random.default_rng(0))
 
 
 def test_estimate_b_zero_when_uninvolved(bandit_setup):
