@@ -71,12 +71,13 @@ class AdaptiveWorst(Adversary):
         self._seen = 0
 
     def next_outcome(self, t: int, history) -> int:
-        for a in history[self._seen:]:
+        new = np.asarray(history[self._seen:]).tolist()  # Python ints, list or array history
+        self._seen = len(history)
+        for a in new:
             self._counts[a] += 1
             if self.window is not None:
                 self._recent.append(a)
                 if len(self._recent) > self.window:
                     self._counts[self._recent.popleft()] -= 1
-        self._seen = len(history)
         totals = self._counts.dot(self.game.loss)
         return int(totals.argmax())  # the first maximum: ties go to the smallest outcome

@@ -18,6 +18,15 @@ serves both its own acceptance test and the engine's flow-condition maxima.
 The solve calls LAPACK's ``solve1`` gufunc directly, as ``np.linalg.solve``'s
 Python checks cost more than a 16x16 solve; :meth:`Engine.run` holds the one
 ``np.errstate`` that keeps a singular system's NaN silent.
+
+A round's cost is mostly numpy's per-call overhead on vectors of 2 to 16
+entries, so the round makes as few numpy calls as keep every bit.  Arithmetic
+that feeds the trajectory stays on numpy (``np.exp``, ``np.add.reduce`` of the
+weights and of ``p``, ``Q.dot``, ``solve1``): ``math.exp`` and Python's
+``sum`` can differ in the last bit.  Checks that only accept or refuse, such
+as :func:`check_column`, use Python floats.  Uniforms come a block at a time
+through :class:`BlockUniforms`, which returns the values and the order of
+one ``random()`` call per draw.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .observability import ObservabilityReport, check_game
 
 FLOW_TOL = 1e-9
 _DIRECT_TOL = 1e-12
+UNIFORM_BLOCK = 256  # uniforms per numpy call on each engine stream: 2 KB of doubles
 
 
 def auto_eta(n_actions: int, v_bar: float, horizon: int) -> float:
@@ -101,9 +111,15 @@ class Transcript(NamedTuple):
 
 
 def check_column(q: np.ndarray, k: int) -> None:
-    """Refuse a column ``q`` of Q, naming it as column ``k``, that is not a distribution."""
-    total = np.add.reduce(q)
-    if not (np.minimum.reduce(q) >= -1e-10 and abs(total - 1.0) <= 1e-10):  # NaN fails too
+    """Refuse a column ``q`` of Q, naming it as column ``k``, that is not a distribution.
+
+    A check only, so its sum and min are taken on Python floats, which are
+    cheaper than numpy calls on a vector this short; nothing it computes feeds
+    the trajectory.
+    """
+    entries = q.tolist()
+    total = sum(entries)  # NaN in q makes the sum NaN, which fails the test below
+    if not (min(entries) >= -1e-10 and abs(total - 1.0) <= 1e-10):
         raise FixedPointError(f"non-stochastic column {k} (sum {total!r})")
 
 
@@ -216,6 +232,30 @@ def _limit_from_uniform(Q: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
+class BlockUniforms:
+    """A generator's uniforms, drawn ``UNIFORM_BLOCK`` at a time, read one by one.
+
+    ``Generator.random(n)`` gives the same floats, in the same order, as n
+    calls of ``Generator.random()``, so each ``random()`` here returns the
+    value the generator itself would have returned next; only the numpy call
+    per uniform is saved.  Nothing but :func:`draw_index` reads the engine's
+    streams, and it calls only ``random()``.
+    """
+
+    __slots__ = ("_generator", "_next")
+
+    def __init__(self, generator: np.random.Generator):
+        self._generator = generator
+        self._next = iter(()).__next__
+
+    def random(self) -> float:
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter(self._generator.random(UNIFORM_BLOCK).tolist()).__next__
+            return self._next()
+
+
 def sample_index(rng: np.random.Generator, pmf: np.ndarray) -> int:
     """Inverse-CDF draw from ``pmf`` consuming exactly one uniform (see :func:`draw_index`)."""
     return draw_index(rng, list(accumulate(pmf.tolist())))
@@ -253,9 +293,10 @@ class Engine:
 
         root = np.random.SeedSequence(config.seed)
         engine_ss, adversary_ss = root.spawn(2)
-        self.rng = np.random.default_rng(engine_ss)
+        self.rng = BlockUniforms(np.random.default_rng(engine_ss))
         self.adversary = adversary
-        adversary.bind(game, np.random.default_rng(adversary_ss) if adversary.needs_rng else None)
+        adversary.bind(game, BlockUniforms(np.random.default_rng(adversary_ss))
+                       if adversary.needs_rng else None)
 
         n = game.n_actions
         self.learners: list[LearnerState] = [
@@ -281,11 +322,12 @@ class Engine:
             raise RuntimeError("horizon exhausted")
         self.t += 1
         p = fixed_point(self.Q, self.A, self.residual)
-        r = self.residual
-        l1 = float(np.add.reduce(r))
-        self.max_flow_residual_l1 = max(self.max_flow_residual_l1, l1)
-        self.max_flow_residual_linf = max(self.max_flow_residual_linf,
-                                          float(np.maximum.reduce(r)))
+        l1 = float(np.add.reduce(self.residual))
+        if l1 > self.max_flow_residual_l1:
+            self.max_flow_residual_l1 = l1
+        if l1 > self.max_flow_residual_linf:  # else linf <= l1 cannot raise its maximum
+            self.max_flow_residual_linf = max(self.max_flow_residual_linf,
+                                              float(np.maximum.reduce(self.residual)))
         if l1 > FLOW_TOL:
             raise FixedPointError(f"flow condition violated at round {self.t}: {l1:.3e}")
         self.p = p

@@ -200,6 +200,12 @@ class ExperimentConfig:
         check_rates(self.eta, self.gamma)
         if not (self.checkpoints is None or _list_of(is_integer, self.checkpoints)):
             raise ValueError(f"checkpoints: need a list of integers, got {self.checkpoints!r}")
+        if self.checkpoints and min(self.checkpoints) < 1:
+            raise ValueError(f"checkpoints: need rounds of at least 1, got {self.checkpoints!r}")
+        if self.checkpoints and min(self.checkpoints) > min(self.horizons):
+            # rounds past a horizon are dropped from its CSV, which would then have no row
+            raise ValueError(f"checkpoints: horizon {min(self.horizons)} would get no row; "
+                             f"need a checkpoint at or below it, got {self.checkpoints!r}")
         spec = _adversary_doc(self.adversary)
         n_fixed = len(spec.get("outcomes", []))
         if spec.get("kind") == "fixed" and n_fixed < max(self.horizons):

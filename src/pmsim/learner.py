@@ -104,7 +104,11 @@ def exp_weights_step(x: np.ndarray, f: np.ndarray, eta: float) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     z = -eta * f
-    w = x * np.exp(z - np.maximum.reduce(z))
+    # max is exact, so Python's max on the list gives numpy's maximum: a zero of
+    # either sign leaves exp(z - zmax) unchanged, and a NaN makes ``total`` NaN
+    w = z - max(z.tolist())  # the steps below reuse this array in place
+    np.exp(w, out=w)
+    w *= x
     total = np.add.reduce(w)
     if not (total > 0.0 and math.isfinite(total)):
         live = x > 0.0
@@ -114,7 +118,8 @@ def exp_weights_step(x: np.ndarray, f: np.ndarray, eta: float) -> np.ndarray:
         total = w.sum()
         if not (total > 0.0 and math.isfinite(total)):
             raise RuntimeError("exponential-weights update produced no usable mass")
-    return w / total
+    w /= total
+    return w
 
 
 def invoke(state: LearnerState, observers: ObservabilityReport) -> LearnerState:

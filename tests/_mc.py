@@ -26,9 +26,15 @@ def frozen_setup(game, graph, observers, qs):
 
 
 def _inverse_cdf(cum_rows, us):
-    """Row r of the result: first index where cum_rows[r] exceeds us[r]."""
+    """Row r: ``games.draw_index``'s rule on cumulative weights ``cum_rows[r]`` and ``us[r]``.
+
+    The first index whose cumulative weight exceeds the uniform; at or past the
+    row's total, the last index with positive weight.  So a row padded with
+    copies of its total never yields a padded slot.
+    """
     idx = (us[:, None] >= cum_rows).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+    last_positive = (cum_rows < cum_rows[:, -1:]).sum(axis=1)
+    return np.where(idx < cum_rows.shape[1], idx, last_positive)
 
 
 def simulate_estimates(game, observers, states, qs, p, pairs, outcome, n_rounds, seed):
@@ -41,8 +47,7 @@ def simulate_estimates(game, observers, states, qs, p, pairs, outcome, n_rounds,
         cum_sym = [np.cumsum(game.signal_matrix(i).matrix[:, outcome]) for i in
                    range(game.n_actions)]
         width = max(len(c) for c in cum_sym)
-        padded = np.vstack([np.pad(c, (0, width - len(c)), constant_values=2.0)
-                            for c in cum_sym])
+        padded = np.vstack([np.pad(c, (0, width - len(c)), mode="edge") for c in cum_sym])
         symbols = _inverse_cdf(padded[actions], rng.random(n_rounds))
     else:
         table = np.array([game.signal_matrix(i).matrix[:, outcome].argmax()

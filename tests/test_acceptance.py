@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The horizon sweeps
-(criteria 5, 6, 10) take several minutes; everything else is fast.
+(criteria 5, 6, 10) take several minutes, so the whole module is marked
+``slow``: ``pytest -m "not slow"`` runs every other test.
 """
 
 import time
@@ -29,6 +30,8 @@ from pmsim import (
 )
 from pmsim.harness import make_adversary
 from pmsim.learner import exp_weights_step
+
+pytestmark = pytest.mark.slow
 
 HORIZONS = [1000, 4000, 16000, 64000]
 SEEDS = 20

@@ -123,6 +123,9 @@ def test_usage_errors(tmp_path, capsys):
     (["--eta", "nan"], "eta"),
     (["--eta", "-1"], "eta"),
     (["--gamma", "1.5"], "gamma"),
+    (["--T", "200", "--checkpoints", "0"], "checkpoints"),
+    (["--T", "200", "--checkpoints", "500"], "checkpoints"),
+    (["--T", "200,600", "--checkpoints", "300,600"], "checkpoints"),
 ])
 def test_run_rejects_bad_input(tmp_path, capsys, flags, field):
     code, out, err = run_cli(capsys, "run", "--game", "bandit_mp", "--T", "10",
@@ -168,6 +171,8 @@ MISSING = object()  # drops the key from the document
     ({"adversary": {"kind": "fixed", "outcomes": [0.5, 1]}, **FIXED_2}, "adversary"),
     ({"adversary": {"kind": "iid", "dist": 5}}, "adversary"),
     ({"adversary": {"kind": "iid", "dist": [True, False]}}, "adversary"),
+    ({"checkpoints": [0, 10]}, "checkpoints"),
+    ({"checkpoints": [11]}, "checkpoints"),  # horizon 10 would get no row
 ])
 def test_run_rejects_bad_config_document(tmp_path, capsys, doc, field):
     """Each document exits 2 naming the field; none ends in a traceback or runs."""

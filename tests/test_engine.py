@@ -19,7 +19,7 @@ from pmsim import (
     resolve_game,
     run,
 )
-from pmsim.engine import FLOW_TOL, sample_index
+from pmsim.engine import FLOW_TOL, UNIFORM_BLOCK, sample_index
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -252,17 +252,25 @@ def test_fixed_point_on_random_column_stochastic_matrices(n, seed, zeros):
 @pytest.mark.parametrize("adversary, gamma", [("adaptive", "auto"), ("adaptive", 0.0),
                                               ("uniform", "auto")])
 def test_flow_system_tracks_q_every_round(name, adversary, gamma, monkeypatch):
-    """The engine's A is Q - I with a row of ones last, bit for bit, after every round."""
+    """The engine's A is Q - I with a row of ones last, bit for bit, after every round.
+
+    The residual maxima equal the maxima over every round's l1 and linf.
+    """
     monkeypatch.chdir(DATA)
     game, _ = resolve_game(name)
     engine = Engine(game, make_adversary(adversary, game), 120, EngineConfig(gamma=gamma, seed=4))
     n = game.n_actions
+    l1, linf = [0.0], [0.0]
     while engine.t < engine.horizon:
         engine.step()
         expected = engine.Q - np.eye(n)
         expected[-1] = 1.0
         assert np.array_equal(engine.A, expected), (name, engine.t)
+        l1.append(float(np.add.reduce(engine.residual)))
+        linf.append(float(np.maximum.reduce(engine.residual)))
     assert len(set(engine.transcript.k.tolist())) > 1  # more than one column was rewritten
+    assert engine.max_flow_residual_l1.hex() == max(l1).hex()
+    assert engine.max_flow_residual_linf.hex() == max(linf).hex()
 
 
 @pytest.mark.parametrize("fault", ["sum", "negative"])
@@ -367,3 +375,32 @@ def test_step_outside_run_warns_on_a_singular_system_and_falls_back(monkeypatch)
     assert fallback_rounds == [1]
     assert engine.max_flow_residual_l1 <= FLOW_TOL
 
+
+
+@pytest.mark.parametrize("name, adversary", [("bandit_mp_random", "uniform"),
+                                             ("noisy3.json", "iid:0.6,0.4,0")])
+def test_uniforms_drawn_in_blocks_leave_the_transcript_unchanged(name, adversary, monkeypatch):
+    """Three engine uniforms a round plus the iid opponent's one, over several blocks.
+
+    Rounds played by ``step()`` and then ``run()`` give one ``run()``'s
+    transcript, and both give the transcript of an engine whose streams are
+    the generators themselves, read one ``random()`` at a time.
+    """
+    monkeypatch.chdir(DATA)
+    game, _ = resolve_game(name)
+    horizon = 4 * UNIFORM_BLOCK + 11  # 3 * horizon engine uniforms: not a whole number of blocks
+
+    def engine():
+        return Engine(game, make_adversary(adversary, game), horizon, EngineConfig(seed=5))
+
+    whole = engine().run()
+    split = engine()
+    for _ in range(UNIFORM_BLOCK // 3 + 2):  # past the first engine block
+        split.step()
+    split.run()
+    scalar = engine()
+    scalar.rng, scalar.adversary.rng = (np.random.default_rng(ss)
+                                        for ss in np.random.SeedSequence(5).spawn(2))
+    scalar.run()
+    for column, by_steps, by_scalars in zip(whole, split.transcript, scalar.transcript):
+        assert np.array_equal(column, by_steps) and np.array_equal(column, by_scalars)

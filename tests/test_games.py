@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from pmsim import IID, Game, GameFormatError, parse_game, resolve_game
 from pmsim.engine import sample_index
+from pmsim.games import draw_index
+from _mc import _inverse_cdf
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -167,6 +169,37 @@ def test_every_sampler_past_the_total_returns_the_last_positive_index():
     assert game.signal_matrix(0).symbols[-1] == "z"
     assert game.observe(0, 0, TopUniform()) == 9
     assert game.observe(0, 1, TopUniform()) == 10
+
+    # the vectorised sampler of the unbiasedness checks, on the row as it is and
+    # padded, as rows of unequal length are, with copies of its total
+    cum = list(accumulate(TENTHS + [0.0]))
+    top = np.array([TopUniform().random()])
+    assert _inverse_cdf(np.array([cum]), top).tolist() == [9]
+    assert _inverse_cdf(np.array([cum + [cum[-1]] * 3]), top).tolist() == [9]
+
+
+class Uniform:
+    """A generator whose next uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_vectorised_test_sampler_follows_draw_index():
+    """``_mc._inverse_cdf`` picks what ``draw_index`` picks, zero weights and short totals too."""
+    rng = np.random.default_rng(53)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        w = rng.random(n) * (rng.random(n) < 0.7)  # about a third of the weights are zero
+        if not w.any():
+            continue
+        cum = list(accumulate((w / w.sum() * rng.uniform(0.98, 1.0)).tolist()))
+        us = rng.random(40).tolist() + [cum[-1], TopUniform().random()]
+        want = [draw_index(Uniform(u), cum) for u in us]
+        assert _inverse_cdf(np.array([cum] * len(us)), np.array(us)).tolist() == want
 
 
 def test_columns_stay_stochastic_after_parse():

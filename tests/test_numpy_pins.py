@@ -2,8 +2,10 @@
 
 The round calls LAPACK's ``solve1`` gufunc instead of ``np.linalg.solve``,
 ``Q.dot(p)`` instead of ``Q @ p`` and ``counts.dot(L)`` instead of
-``counts @ L``.  Each pair must agree bit for bit (``np.array_equal``), so a
-numpy upgrade that changes one of them fails here rather than in a digest.
+``counts @ L``, and draws its uniforms in blocks, ``Generator.random(n)``,
+instead of one ``random()`` at a time.  Each pair must agree bit for bit
+(``np.array_equal``, or ``==`` on Python floats), so a numpy upgrade that
+changes one of them fails here rather than in a digest.
 """
 
 import os
@@ -13,7 +15,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from pmsim import Engine, EngineConfig, make_adversary, resolve_game
-from pmsim.engine import flow_system
+from pmsim.engine import UNIFORM_BLOCK, BlockUniforms, flow_system
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -80,3 +82,17 @@ def test_counts_dot_loss_matches_matmul_on_the_voronoi_game():
     for trial in range(2000):
         counts = rng.integers(0, 10 ** rng.integers(1, 6), size=L.shape[0]).astype(float)
         assert np.array_equal(counts.dot(L), counts @ L), trial
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7, 2 ** 40])
+def test_uniform_blocks_match_scalar_draws_on_the_engine_streams(seed):
+    """``random(n)`` gives n ``random()`` values in order, across blocks of any size."""
+    def streams():
+        return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(2)]
+
+    sizes = [UNIFORM_BLOCK, 1, 37, UNIFORM_BLOCK, 300]
+    for blocked, scalar, wrapped in zip(streams(), streams(), streams()):
+        drawn = np.concatenate([blocked.random(n) for n in sizes]).tolist()
+        assert drawn == [scalar.random() for _ in drawn]
+        wrapped = BlockUniforms(wrapped)
+        assert drawn == [wrapped.random() for _ in drawn]
