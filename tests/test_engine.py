@@ -376,7 +376,6 @@ def test_step_outside_run_warns_on_a_singular_system_and_falls_back(monkeypatch)
     assert engine.max_flow_residual_l1 <= FLOW_TOL
 
 
-
 @pytest.mark.parametrize("name, adversary", [("bandit_mp_random", "uniform"),
                                              ("noisy3.json", "iid:0.6,0.4,0")])
 def test_uniforms_drawn_in_blocks_leave_the_transcript_unchanged(name, adversary, monkeypatch):
