@@ -9,11 +9,11 @@ Direct sampling from p and the two-level scheme agree exactly because p is
 stationary for Q; the engine asserts that identity every round.
 
 Only the invoked learner's column of Q changes in a round.  The engine checks
-that column when it writes it (every column once, when it is built) and
-updates the flow system ``Q - I``, normalisation row last, beside Q in O(n),
-so :func:`fixed_point` neither re-checks nor rebuilds it.  The residual
-``|Qp - p|`` is computed once per round, inside :func:`fixed_point`, and
-serves both its own acceptance test and the engine's flow-condition maxima.
+that column when it writes it (every column once, when it is built), so
+:func:`fixed_point` does not re-check Q; the direct solve builds ``Q - I``
+from Q in the round it solves.  The residual ``|Qp - p|`` is computed once
+per round, inside :func:`fixed_point`, and serves both its own acceptance
+test and the engine's flow-condition maxima.
 
 The solve calls LAPACK's ``solve1`` gufunc directly, as ``np.linalg.solve``'s
 Python checks cost more than a 16x16 solve; :meth:`Engine.run` holds the one
@@ -123,63 +123,61 @@ def check_column(q: np.ndarray, k: int) -> None:
         raise FixedPointError(f"non-stochastic column {k} (sum {total!r})")
 
 
-def flow_system(Q: np.ndarray) -> np.ndarray:
-    """Check every column of Q, then return ``Q - I`` with its last row set to ones.
-
-    The row of ones is the normalisation ``sum(p) = 1``; the other rows are ``Qp = p``.
-    """
+def check_columns(Q: np.ndarray) -> None:
+    """Refuse a Q any of whose columns is not a distribution (see :func:`check_column`)."""
     for k in range(Q.shape[0]):
         check_column(Q[:, k], k)
-    A = Q - np.eye(Q.shape[0])
-    A[-1, :] = 1.0
-    return A
 
 
 @functools.lru_cache(maxsize=None)
-def _last_unit(n: int) -> np.ndarray:
-    """The flow system's right-hand side ``[0, ..., 0, 1]``, built once per n, read-only."""
-    rhs = np.eye(n)[-1]
-    rhs.setflags(write=False)
-    return rhs
+def _identity(n: int) -> np.ndarray:
+    """I_n, built once per n, read-only; its last row is the flow system's right-hand side."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
-def fixed_point(Q: np.ndarray, A: np.ndarray | None = None,
-                residual: np.ndarray | None = None) -> np.ndarray:
+def flow_system(Q: np.ndarray) -> np.ndarray:
+    """``Q - I`` with its last row set to ones, the normalisation ``sum(p) = 1``."""
+    A = Q - _identity(Q.shape[0])
+    A[-1] = 1.0
+    return A
+
+
+def fixed_point(Q: np.ndarray, residual: np.ndarray | None = None) -> np.ndarray:
     """Stationary distribution p = Qp of a column-stochastic matrix.
 
-    Direct dense solve of the flow system ``A`` (see :func:`flow_system`) by
-    the LAPACK gufunc under ``np.linalg.solve``.  When that system is
-    singular (multiple stationary distributions) the gufunc returns NaN;
-    then, or when the solution fails the checks, falls back to
-    :func:`_limit_from_uniform`, the limit of the damped chain from the
-    uniform vector, which also fixes the tie-break between fixed points.
-    Two actions skip the solve: the balance equation gives p.
+    Direct dense solve of the :func:`flow_system` of Q by the LAPACK gufunc
+    under ``np.linalg.solve``.  When that system is singular (multiple
+    stationary distributions) the gufunc returns NaN; then, or when the
+    solution fails the checks, falls back to :func:`_limit_from_uniform`, the
+    limit of the damped chain from the uniform vector, which also fixes the
+    tie-break between fixed points.  Two actions skip the solve: the balance
+    equation gives p.
 
-    Called with ``Q`` alone, checks every column, builds ``A`` with
-    :func:`flow_system` and solves under its own ``np.errstate``, so a
-    singular system stays silent.  The engine instead passes the ``A`` it
-    keeps beside ``Q``, whose columns it checked as it wrote them, and a
-    ``residual`` buffer, which receives ``|Qp - p|`` for the returned p: the
-    round's residual is computed once, here, and the engine reads its maxima
-    from it.  That form leaves the errstate to :meth:`Engine.run`.
+    Called with ``Q`` alone, checks every column and solves under its own
+    ``np.errstate``, so a singular system stays silent.  The engine, which
+    checks each column as it writes it, passes a ``residual`` buffer instead
+    and leaves the errstate to :meth:`Engine.run`; the buffer receives
+    ``|Qp - p|`` for the returned p, and the engine reads its maxima from it.
     """
-    if A is None:
-        Q = np.asarray(Q, dtype=float)
-        with np.errstate(invalid="ignore"):
-            return fixed_point(Q, flow_system(Q), residual)
-    n = Q.shape[0]
     if residual is None:
-        residual = np.empty(n)
+        Q = np.asarray(Q, dtype=float)
+        check_columns(Q)
+        with np.errstate(invalid="ignore"):
+            return fixed_point(Q, np.empty(Q.shape[0]))
+    n = Q.shape[0]
 
     if n == 2:
-        # balance equation: mass(2->1) * p1 = mass(1->2) * p0
-        a, b = max(Q[0, 1], 0.0), max(Q[1, 0], 0.0)
-        if a + b > _DIRECT_TOL:
-            p = np.array([a / (a + b), b / (a + b)])
+        # balance equation: mass(2->1) * p1 = mass(1->2) * p0, on Python floats
+        a, b = max(Q.item(0, 1), 0.0), max(Q.item(1, 0), 0.0)
+        total = a + b
+        if total > _DIRECT_TOL:
+            p = np.array([a / total, b / total])
             np.abs(Q.dot(p) - p, out=residual)
             return p
     else:
-        p = _lapack_solve(A, _last_unit(n), signature="dd->d")  # all NaN if A is singular
+        p = _lapack_solve(flow_system(Q), _identity(n)[-1], signature="dd->d")  # NaN if singular
         if np.minimum.reduce(p) >= -1e-12:  # NaN fails
             p = np.maximum(p, 0.0)
             p /= np.add.reduce(p)
@@ -304,7 +302,7 @@ class Engine:
             for i in range(n)
         ]
         self.Q = np.column_stack([lr.q for lr in self.learners])
-        self.A = flow_system(self.Q)  # kept in step with Q, one column per round
+        check_columns(self.Q)  # from here on, each column is checked as it is written
         self.residual = np.empty(n)  # |Qp - p| of the current round, from fixed_point
         self.t = 0
         self.transcript = Transcript(*np.zeros((4, horizon), dtype=np.intp),
@@ -321,7 +319,7 @@ class Engine:
         if self.t >= self.horizon:
             raise RuntimeError("horizon exhausted")
         self.t += 1
-        p = fixed_point(self.Q, self.A, self.residual)
+        p = fixed_point(self.Q, self.residual)
         l1 = float(np.add.reduce(self.residual))
         if l1 > self.max_flow_residual_l1:
             self.max_flow_residual_l1 = l1
@@ -346,9 +344,6 @@ class Engine:
         q = invoke(self.learners[k], self.observers).q
         check_column(q, k)
         self.Q[:, k] = q
-        self.A[:-1, k] = q[:-1]
-        if k < len(q) - 1:
-            self.A[k, k] = q[k] - 1.0  # the bits of (Q - I)[k, k]
 
     def run(self) -> Transcript:
         """Play the remaining rounds under one ``np.errstate``, restored on exit.

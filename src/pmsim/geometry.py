@@ -42,9 +42,6 @@ class NeighborhoodGraph:
         """All ordered pairs (i, j) with j a neighbor of i and j != i."""
         return [(i, j) for i in range(self.n_actions) for j in self.neighbors[i] if j != i]
 
-    def pair_margin(self, i: int, j: int) -> float:
-        return self.margins[(min(i, j), max(i, j))]
-
     def is_connected(self) -> bool:
         seen = {0}
         stack = [0]

@@ -27,6 +27,7 @@ from .regret import RegretReport, regret_report, theorem_bound
 
 CSV_COLUMNS = ["t", "k", "I", "j", "loss", "cum_loss",
                "ext_regret", "int_regret", "local_int_regret"]
+ADVERSARY_KEYS = {"iid": {"dist"}, "fixed": {"outcomes"}, "adaptive": {"window"}}  # besides "kind"
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,11 @@ def _adversary_doc(spec: Any) -> dict:
     if not isinstance(spec, dict):
         raise ValueError(f"adversary: need a spec string or object, got {spec!r}")
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in ADVERSARY_KEYS:
+        raise ValueError(f"adversary: unknown kind {kind!r}")
+    unknown = set(spec) - {"kind"} - ADVERSARY_KEYS[kind]
+    if unknown:
+        raise ValueError(f"adversary: unknown keys {sorted(unknown, key=str)} for kind {kind!r}")
     if kind == "iid":
         dist = spec.get("dist", "uniform")
         if dist != "uniform" and not _list_of(is_number, dist):
@@ -117,12 +123,10 @@ def _adversary_doc(spec: Any) -> dict:
     elif kind == "fixed":
         if not _list_of(is_integer, spec.get("outcomes", [])):
             raise ValueError(f"adversary: need integer fixed outcomes, got {spec['outcomes']!r}")
-    elif kind == "adaptive":
+    else:
         window = spec.get("window")
         if not (window is None or (is_integer(window) and window >= 1)):
             raise ValueError(f"adversary: need a positive integer window or null, got {window!r}")
-    else:
-        raise ValueError(f"adversary: unknown kind {kind!r}")
     return spec
 
 
@@ -160,18 +164,18 @@ class SlopeFit(NamedTuple):
     clamped_points: int
 
 
-def fit_slope(points, floor: float = 1.0) -> SlopeFit:
+def fit_slope(points) -> SlopeFit:
     """Least-squares slope of log(value) against log(horizon).
 
-    Non-positive values are clamped to ``floor`` before taking logs; the
-    number of clamped points is part of the result.
+    Values below 1 are raised to 1 before taking logs; the number of
+    non-positive points is part of the result.
     """
     points = list(points)
     if len(points) < 2:
         raise ValueError("slope fit needs at least two points")
     clamped = sum(1 for _, y in points if y <= 0)
     xs = np.log([float(t) for t, _ in points])
-    ys = np.log([max(float(y), floor) for _, y in points])
+    ys = np.log([max(float(y), 1.0) for _, y in points])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return SlopeFit(slope, clamped)
 
@@ -269,7 +273,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     game, game_name = resolve_game(config.game)
     graph, geo = analyze_geometry(game)
     observers = check_game(game, graph)
-    os.makedirs(config.out_dir, exist_ok=True)
 
     if not observers.locally_observable:
         report = {
@@ -279,6 +282,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "dominated_actions": geo.dominated_actions,
             "degenerate_witnesses": [list(w) for w in geo.degenerate_witnesses],
         }
+        os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, "classification.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -306,6 +310,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             transcript = engine.run()
             report = regret_report(transcript, game.loss, graph, observers.v_bar,
                                    config.checkpoints)
+            os.makedirs(config.out_dir, exist_ok=True)  # not before: a refused run makes none
             path = os.path.join(config.out_dir, f"run_T{T}_seed{seed}.csv")
             _write_run_csv(path, transcript, report)
             final_int[T].append(report.internal)

@@ -51,11 +51,12 @@ def test_graph_on_phase1_drift_games(capsys, name):
     assert len(json.loads(out)["neighbors"]) == 16
 
 
+DOMINATED = {"loss": [[0, 1], [1, 0], [0.6, 0.6]], "signals": [["0", "1"]] * 3}
+
+
 def test_graph_rejects_dominated(tmp_path, capsys):
-    doc = {"loss": [[0, 1], [1, 0], [0.6, 0.6]],
-           "signals": [["0", "1"]] * 3}
     path = tmp_path / "dominated.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(DOMINATED))
     code, _, err = run_cli(capsys, "graph", str(path))
     assert code == 4
     assert "dominated" in err
@@ -98,6 +99,21 @@ def test_run_refuses_unobservable(tmp_path, capsys):
     assert code == 3
     assert "not locally observable" in err
     assert (tmp_path / "classification.json").exists()
+
+
+@pytest.mark.parametrize("game, adversary, expected", [
+    ("bandit_mp", "iid:0.5,0.5,0", 2),  # refused when the adversary is built for the game
+    (DOMINATED, "uniform", 4),  # refused by the geometry gate
+])
+def test_refused_run_leaves_no_output_directory(tmp_path, capsys, game, adversary, expected):
+    if isinstance(game, dict):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game))
+        game = str(path)
+    code, _, err = run_cli(capsys, "run", "--game", game, "--adversary", adversary, "--T", "10",
+                           "--out", str(tmp_path / "out"))
+    assert code == expected and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -173,6 +189,8 @@ MISSING = object()  # drops the key from the document
     ({"adversary": {"kind": "iid", "dist": [True, False]}}, "adversary"),
     ({"checkpoints": [0, 10]}, "checkpoints"),
     ({"checkpoints": [11]}, "checkpoints"),  # horizon 10 would get no row
+    ({"adversary": {"kind": "adaptive", "windw": 5}}, "adversary"),
+    ({"adversary": {"kind": "iid", "dist": [0.5, 0.5], "outcomes": [1]}}, "adversary"),
 ])
 def test_run_rejects_bad_config_document(tmp_path, capsys, doc, field):
     """Each document exits 2 naming the field; none ends in a traceback or runs."""

@@ -55,14 +55,15 @@ def test_solve1_and_dot_match_numpy_on_random_flow_systems(n):
 
 @pytest.mark.parametrize("name", ["voronoi_n16.json", "bandit3.json"])
 def test_solve1_and_dot_match_numpy_on_engine_systems(name, monkeypatch):
-    """Every round's ``A``, ``Q`` and ``p`` of an adaptive run, as the engine holds them."""
+    """Every round's flow system, ``Q`` and ``p`` of an adaptive run, as the engine solves them."""
     monkeypatch.chdir(DATA)
     game, _ = resolve_game(name)
     engine = Engine(game, make_adversary("adaptive", game), 200, EngineConfig(seed=3))
     rhs = unit_rhs(game.n_actions)
     while engine.t < engine.horizon:
-        p = solve1(engine.A, rhs)
-        assert np.array_equal(p, np.linalg.solve(engine.A, rhs)), (name, engine.t)
+        A = flow_system(engine.Q)
+        p = solve1(A, rhs)
+        assert np.array_equal(p, np.linalg.solve(A, rhs)), (name, engine.t)
         engine.step()
         assert np.array_equal(engine.Q.dot(engine.p), engine.Q @ engine.p), (name, engine.t)
 
