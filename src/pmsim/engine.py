@@ -11,9 +11,9 @@ stationary for Q; the engine asserts that identity every round.
 Only the invoked learner's column of Q changes in a round.  The engine checks
 that column when it writes it (every column once, when it is built), so
 :func:`fixed_point` does not re-check Q; the direct solve builds ``Q - I``
-from Q in the round it solves.  The residual ``|Qp - p|`` is computed once
-per round, inside :func:`fixed_point`, and serves both its own acceptance
-test and the engine's flow-condition maxima.
+from Q in the round it solves.  The residual ``|Qp - p|`` and its l1 sum are
+computed once per round, inside :func:`fixed_point`, and serve both its own
+acceptance test and the engine's flow-condition maxima.
 
 The solve calls LAPACK's ``solve1`` gufunc directly, as ``np.linalg.solve``'s
 Python checks cost more than a 16x16 solve; :meth:`Engine.run` holds the one
@@ -155,17 +155,18 @@ def fixed_point(Q: np.ndarray, residual: np.ndarray | None = None) -> np.ndarray
     tie-break between fixed points.  Two actions skip the solve: the balance
     equation gives p.
 
-    Called with ``Q`` alone, checks every column and solves under its own
-    ``np.errstate``, so a singular system stays silent.  The engine, which
-    checks each column as it writes it, passes a ``residual`` buffer instead
-    and leaves the errstate to :meth:`Engine.run`; the buffer receives
-    ``|Qp - p|`` for the returned p, and the engine reads its maxima from it.
+    Called with ``Q`` alone, checks every column, solves under its own
+    ``np.errstate``, so a singular system stays silent, and returns p.  The
+    engine, which checks each column as it writes it, passes a ``residual``
+    buffer instead and leaves the errstate to :meth:`Engine.run`; then the
+    buffer receives ``|Qp - p|`` for the returned p, and the call returns
+    ``(p, l1)`` with l1 the buffer's sum as a Python float.
     """
     if residual is None:
         Q = np.asarray(Q, dtype=float)
         check_columns(Q)
         with np.errstate(invalid="ignore"):
-            return fixed_point(Q, np.empty(Q.shape[0]))
+            return fixed_point(Q, np.empty(Q.shape[0]))[0]
     n = Q.shape[0]
 
     if n == 2:
@@ -174,24 +175,24 @@ def fixed_point(Q: np.ndarray, residual: np.ndarray | None = None) -> np.ndarray
         total = a + b
         if total > _DIRECT_TOL:
             p = np.array([a / total, b / total])
-            np.abs(Q.dot(p) - p, out=residual)
-            return p
+            return p, float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
     else:
         p = _lapack_solve(flow_system(Q), _identity(n)[-1], signature="dd->d")  # NaN if singular
         if np.minimum.reduce(p) >= -1e-12:  # NaN fails
             p = np.maximum(p, 0.0)
             p /= np.add.reduce(p)
-            if np.add.reduce(np.abs(Q.dot(p) - p, out=residual)) <= _DIRECT_TOL:
-                return p
+            l1 = float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
+            if l1 <= _DIRECT_TOL:
+                return p, l1
 
     try:
         p = _limit_from_uniform(Q)
     except np.linalg.LinAlgError as exc:
         raise FixedPointError(f"no fixed point: {exc}") from None
-    l1 = np.add.reduce(np.abs(Q.dot(p) - p, out=residual))
+    l1 = float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
     if not l1 <= FLOW_TOL:
         raise FixedPointError(f"no fixed point within tolerance (residual {l1:.3e})")
-    return p
+    return p, l1
 
 
 def _limit_from_uniform(Q: np.ndarray) -> np.ndarray:
@@ -319,8 +320,7 @@ class Engine:
         if self.t >= self.horizon:
             raise RuntimeError("horizon exhausted")
         self.t += 1
-        p = fixed_point(self.Q, self.residual)
-        l1 = float(np.add.reduce(self.residual))
+        p, l1 = fixed_point(self.Q, self.residual)
         if l1 > self.max_flow_residual_l1:
             self.max_flow_residual_l1 = l1
         if l1 > self.max_flow_residual_linf:  # else linf <= l1 cannot raise its maximum

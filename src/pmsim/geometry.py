@@ -11,6 +11,7 @@ strict gate, since the learner's guarantees assume neither occurs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +21,7 @@ from .games import Game
 from .simplex import INFEASIBLE, UNBOUNDED, solve_lp
 
 MARGIN_TOL = 1e-7
+_SPECIAL = {INFEASIBLE: -np.inf, UNBOUNDED: np.inf}  # margins of LPs without an optimum
 _EQUAL_ROW_TOL = 1e-12
 _Q_TOL = 1e-9
 
@@ -91,43 +93,53 @@ def second_best(L, q) -> int:
     return int(rest[np.argmin(values[rest])])
 
 
-def _margin_lp(ineq_rows: list[np.ndarray], eq_rows: list[np.ndarray], M: int):
-    """max d  s.t.  q in simplex,  e.q = 0 (each eq),  a.q >= d (each ineq).
+@lru_cache(maxsize=16)
+def _layout(N: int, M: int, lps: tuple) -> tuple:
+    """The parts of the stacked LPs ``lps`` that do not depend on the losses."""
+    P, Q, eq_s, eq_t = [], [], [], []
+    for s, (i, eq) in enumerate(lps):
+        skip = {i}.union(*eq)
+        ks = [k for k in range(N) if k not in skip]
+        P.append(ks + [a for a, _ in eq])
+        Q.append([i] * len(ks) + [b for _, b in eq])
+        eq_t += range(len(ks) + 1, N)
+        eq_s += [s] * len(eq)
+    rows = np.zeros((N - 1, N + 1))  # the d and surplus columns of an inequality row
+    rows[:, :2] = -1.0, 1.0
+    rows[:, 2:] = -np.eye(N - 1) + 0.0  # + 0.0: no signed zeros
+    b = np.zeros((len(lps), N))
+    b[:, 0] = 1.0
+    c = np.zeros(M + 1 + N)
+    c[M:M + 2] = -1.0, 1.0
+    parts = (np.array(P, dtype=np.intp), np.array(Q, dtype=np.intp), eq_s, eq_t, rows, b, c)
+    for part in parts[:2] + parts[4:]:
+        part.flags.writeable = False  # shared by every call with these LPs
+    return parts
 
-    Variables: q (M), d split into d+ - d-, one surplus per inequality.
-    Returns an LPResult of the minimization of -d.
+
+def _margins(L: np.ndarray, lps: tuple) -> list[float]:
+    """Margins of the LPs ``(i, eq)`` of loss ``L``, solved as one stack: ``inf``
+    where d is unbounded, ``-inf`` where the LP is infeasible.
+
+    LP ``(i, eq)`` is  max d  s.t.  q in simplex,  (L[k] - L[i]).q >= d  for
+    each action k other than i and the actions in ``eq``, and  (L[a] - L[b]).q
+    = 0  for each pair (a, b) of ``eq``.  Variables: q (M), d = d+ - d-, one
+    surplus per row; an equality row's surplus column is all zero and never
+    enters, so every LP of a game has N rows and one shape.
     """
-    n_ineq = len(ineq_rows)
-    n = M + 2 + n_ineq
-    rows, rhs = [], []
-    row = np.zeros(n)
-    row[:M] = 1.0
-    rows.append(row)
-    rhs.append(1.0)
-    for k, a in enumerate(ineq_rows):
-        row = np.zeros(n)
-        row[:M] = a
-        row[M], row[M + 1] = -1.0, 1.0
-        row[M + 2 + k] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for e in eq_rows:
-        row = np.zeros(n)
-        row[:M] = e
-        rows.append(row)
-        rhs.append(0.0)
-    c = np.zeros(n)
-    c[M], c[M + 1] = -1.0, 1.0
-    return solve_lp(c, np.array(rows), np.array(rhs))
+    N, M = L.shape
+    P, Q, eq_s, eq_t, rows, b, c = _layout(N, M, lps)
+    A = np.zeros((len(lps), N, M + 1 + N))
+    A[:, 0, :M] = 1.0
+    np.subtract(L[P], L[Q], out=A[:, 1:, :M])
+    A[:, 1:, M:] = rows
+    A[eq_s, eq_t, M:] = 0.0
+    return [_SPECIAL.get(res.status) or -res.value for res in solve_lp(c, A, b)]
 
 
 def cell_margin(L, i: int) -> float:
     """Largest margin by which action ``i`` beats all others somewhere on the simplex."""
-    L = np.asarray(L, dtype=float)
-    res = _margin_lp([L[k] - L[i] for k in range(L.shape[0]) if k != i], [], L.shape[1])
-    if res.status == UNBOUNDED:
-        return np.inf  # single action, nothing to beat
-    return -res.value
+    return _margins(np.asarray(L, dtype=float), ((i, ()),))[0]
 
 
 def pair_margin(L, i: int, j: int) -> float:
@@ -138,20 +150,7 @@ def pair_margin(L, i: int, j: int) -> float:
     """
     if i == j:
         raise ValueError("pair margin needs two distinct actions")
-    L = np.asarray(L, dtype=float)
-    ineq = [L[k] - L[i] for k in range(L.shape[0]) if k != i and k != j]
-    res = _margin_lp(ineq, [L[i] - L[j]], L.shape[1])
-    if res.status == INFEASIBLE:
-        return -np.inf
-    if res.status == UNBOUNDED:
-        return np.inf
-    return -res.value
-
-
-def _triple_tie_feasible(L, i: int, j: int, k: int) -> bool:
-    ineq = [L[h] - L[i] for h in range(L.shape[0]) if h not in (i, j, k)]
-    res = _margin_lp(ineq, [L[i] - L[j], L[k] - L[i]], L.shape[1])
-    return res.status != INFEASIBLE
+    return _margins(np.asarray(L, dtype=float), ((i, ((i, j),)),))[0]
 
 
 def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, GeometryReport]:
@@ -172,18 +171,18 @@ def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, Geomet
             if np.abs(L[i] - L[j]).max() <= _EQUAL_ROW_TOL * scale:
                 witnesses.append((i, j))
 
-    cell_margins = np.array([cell_margin(L, i) for i in range(N)])
+    # every cell LP, then every pair LP in (i, j) order, as one stack
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    found = _margins(L, tuple([(i, ()) for i in range(N)] + [(i, ((i, j),)) for i, j in pairs]))
+    cell_margins = np.array(found[:N])
     dominated = [i for i in range(N) if cell_margins[i] <= MARGIN_TOL]
 
-    margins: dict[tuple[int, int], float] = {}
-    for i in range(N):
-        for j in range(i + 1, N):
-            d = pair_margin(L, i, j)
-            margins[(i, j)] = d
-            if -MARGIN_TOL <= d <= MARGIN_TOL:
-                for k in range(N):
-                    if k not in (i, j) and _triple_tie_feasible(L, i, j, k):
-                        witnesses.append((i, j, k))
+    margins = dict(zip(pairs, found[N:]))
+    for (i, j), d in margins.items():
+        if -MARGIN_TOL <= d <= MARGIN_TOL:
+            for k in range(N):  # is the tie face also on k's boundary?
+                if k not in (i, j) and _margins(L, ((i, ((i, j), (k, i))),))[0] != -np.inf:
+                    witnesses.append((i, j, k))
 
     neighbors = tuple(
         tuple(sorted({i} | {j for j in range(N) if j != i

@@ -1,21 +1,19 @@
 """Dense two-phase simplex for the tiny linear programs in cell geometry.
 
-Solves  min c.x  subject to  A x = b,  x >= 0  on problems with a handful of
-rows and columns.  Bland's rule throughout, so degenerate bases cannot cycle.
+Solves  min c.x  subject to  A x = b,  x >= 0,  one LP or a stack of
+same-shape LPs run in lockstep, with Bland's rule so degenerate bases cannot
+cycle.  A lockstep step is one batched entering-column search, ratio test and
+pivot, and gives each LP the pivots it gets alone: a pivot updates only the
+rows with a nonzero factor, each by the same ``a - f*b``, and the ratio test
+picks the row a sequential scan picks, where a ratio within ``_TOL`` of the
+best so far replaces it only with a smaller basis variable.  Exact ties more
+than ``2 * _TOL`` below the other ratios go to the smallest basis variable at
+once; other LPs run the scan, vectorised across LPs.
 
-The tableau work is done on whole arrays: a pivot is one masked update of
-every row whose entry in the pivot column is nonzero, which gives each entry
-the same ``a - f*b`` the row-by-row update gives, and the entering column is
-the first negative reduced cost found by ``nonzero``.  The ratio test stays a
-sequential scan over Python floats, so its tie-breaks (by tolerance, then by
-the smaller basis variable) are unchanged.
-
-Phase 1 minimizes the sum of the artificials, which is bounded below by 0, so
-a phase-1 "unbounded" result can only be rounding drift in the tableau.  On
-that result, and only then, the tableau is refactored once from the current
-basis (a dense solve against the starting tableau) and phase 1 resumes; a
-second failure raises :class:`LPSolverError`.  Problems that solve without
-the refactor keep their exact pivot sequence.
+Phase 1's objective is bounded below by 0, so a phase-1 "unbounded" result is
+rounding drift: only then is the LP's tableau refactored once from its basis
+and its phase 1 resumed; a second failure is an :class:`LPSolverError`.  When
+LPs of a stack fail, the first one's error is raised once the others are done.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ UNBOUNDED = "unbounded"
 
 _TOL = 1e-9
 _MAX_ITERS = 10_000
+_BLOCK = 48  # LPs run in lockstep at most, which bounds a stack's scratch memory
 
 
 @dataclass
@@ -41,92 +40,149 @@ class LPResult:
     value: float | None = None
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    f = T[:, col, None].copy()
-    f[row] = 0.0
-    # rows with a zero factor (either sign) are left untouched
-    np.subtract(T, f * T[row], out=T, where=f != 0.0)
-    basis[row] = col
+def _pivot(T: np.ndarray, basis: np.ndarray, k, rows, cols, col: np.ndarray) -> None:
+    """Pivot LP ``k[s]`` of the stack on ``(rows[s], cols[s])``; ``col`` is
+    ``T[k, :, cols]``."""
+    a = np.arange(len(k))
+    S = T if len(k) == len(T) else T[k]
+    prow = S[a, rows] / col[a, rows][:, None]
+    f = col[:, :, None]
+    # rows with a zero factor (either sign) are left untouched; the pivot
+    # row's own update is overwritten
+    np.subtract(S, f * prow[:, None], out=S, where=f != 0.0)
+    S[a, rows] = prow
+    if S is not T:
+        T[k] = S
+    basis[k, rows] = cols
 
 
-def _iterate(T: np.ndarray, basis: list[int], n_cols: int) -> str:
-    """Run simplex iterations on tableau T (last row = reduced costs)."""
+def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
+    """Leaving row of each LP, and the flags of the LPs without a candidate row."""
+    cand = col > _TOL
+    ratio = np.where(cand, rhs, np.inf) / np.where(cand, col, 1.0)
+    best = np.minimum.reduce(ratio, axis=1, keepdims=True)
+    tied = ratio == best  # an LP without a candidate ties every row at inf
+    leaving = np.where(tied, basis, np.inf).argmin(axis=1)
+    near = ratio <= best + 2 * _TOL
+    if np.count_nonzero(near) > np.count_nonzero(tied):  # a ratio near the best, not tied:
+        slow = np.logical_or.reduce(near > tied, axis=1).nonzero()[0]  # scan those LPs' rows
+        x_all = np.where(cand, ratio, 0.0)[slow]
+        low, low_var = np.full(len(slow), np.inf), np.full(len(slow), -1)
+        for r in range(col.shape[1]):
+            x, var = x_all[:, r], basis[slow, r]
+            take = cand[slow, r] & ((x < low - _TOL) | ((np.abs(x - low) <= _TOL) & (var < low_var)))
+            leaving[slow[take]], low[take], low_var[take] = r, x[take], var[take]
+    return leaving, best[:, 0] == np.inf
+
+
+def _iterate(T: np.ndarray, basis: np.ndarray, n_cols: int, todo: np.ndarray):
+    """Run the LPs flagged in ``todo`` in lockstep; the last tableau row is the
+    reduced costs.  Returns the flags of the LPs unbounded and of those still
+    running at the iteration limit."""
+    ks = np.arange(len(T))
+    unbounded = np.zeros(len(T), dtype=bool)
+    todo = todo.copy()
     for _ in range(_MAX_ITERS):
-        improving = (T[-1, :n_cols] < -_TOL).nonzero()[0]
-        if not improving.size:
-            return OPTIMAL
-        entering = int(improving[0])  # Bland: first improving column
-        leaving, best, best_var = -1, np.inf, -1
-        for r, (a, rhs) in enumerate(zip(T[:-1, entering].tolist(), T[:-1, -1].tolist())):
-            if a > _TOL:
-                ratio = rhs / a
-                if ratio < best - _TOL or (abs(ratio - best) <= _TOL and basis[r] < best_var):
-                    leaving, best, best_var = r, ratio, basis[r]
-        if leaving < 0:
-            return UNBOUNDED
-        _pivot(T, basis, leaving, entering)
-    raise LPSolverError("simplex iteration limit exceeded")
+        improving = T[:, -1, :n_cols] < -_TOL
+        cols = improving.argmax(axis=1)  # Bland: first improving column
+        todo &= improving[ks, cols]
+        k = todo.nonzero()[0]
+        if not k.size:
+            break
+        sel = slice(None) if k.size == len(T) else k  # every LP running: views, not copies
+        cols = cols[sel]
+        col = T[k, :, cols]
+        rows, stop = _ratio_test(col[:, :-1], T[sel, :-1, -1], basis[sel])
+        if np.count_nonzero(stop):
+            unbounded[k[stop]], todo[k[stop]] = True, False
+            k, rows, cols, col = k[~stop], rows[~stop], cols[~stop], col[~stop]
+        _pivot(T, basis, k, rows, cols, col)
+    return unbounded, todo
 
 
-def _refactor(T: np.ndarray, T0: np.ndarray, basis: list[int]) -> None:
-    """Recompute tableau T from the starting tableau T0 and the current basis."""
-    try:
-        T[:-1] = np.linalg.solve(T0[:-1, basis], T0[:-1])
-    except np.linalg.LinAlgError as exc:
-        raise LPSolverError(f"phase 1 basis is singular on refactoring: {exc}") from None
-    T[-1] = T0[-1] - T0[-1, basis] @ T[:-1]
+def _phase1(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Phase-1 tableaux: artificial basis, cost row summing the artificials."""
+    K, m, n = A.shape
+    T = np.zeros((K, m + 1, n + m + 1))
+    T[:, :m, :n], T[:, :m, -1] = A, b
+    T.reshape(K, -1)[:, n:m * (n + m + 2):n + m + 2] = 1.0  # the artificials' identity
+    np.negative(np.add.reduce(A, axis=1), out=T[:, -1, :n])
+    np.negative(np.add.reduce(b, axis=1), out=T[:, -1, -1])
+    return T
 
 
-def solve_lp(c, A, b) -> LPResult:
-    """Minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``."""
+def solve_lp(c, A, b):
+    """Minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``: ``A`` (m, n) gives
+    one :class:`LPResult`, and a stack ``A`` (K, m, n), with ``b`` (K, m) and
+    ``c`` (n,) or (K, n), the list of the K results its LPs give alone."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if A.ndim == 2:
+        return solve_lp(c, A[None], b[None])[0]
+    K, m, n = A.shape
     c = np.asarray(c, dtype=float)
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    m, n = A.shape
-    neg = b < 0
-    if neg.any():
+    if c.ndim == 1:
+        c = c[None].repeat(K, axis=0)  # a cost row per LP
+    if K > _BLOCK:
+        return [res for s in range(0, K, _BLOCK)
+                for res in solve_lp(c[s:s + _BLOCK], A[s:s + _BLOCK], b[s:s + _BLOCK])]
+    if np.count_nonzero(neg := b < 0):
+        A, b = A.copy(), b.copy()
         A[neg] *= -1
         b[neg] *= -1
 
     # Phase 1: artificial basis, minimize the sum of artificials.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[-1, :n] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    T0 = T.copy()
-    basis = list(range(n, n + m))
-    if _iterate(T, basis, n + m) != OPTIMAL:
-        _refactor(T, T0, basis)  # bounded below by 0: the tableau has drifted
-        if _iterate(T, basis, n + m) != OPTIMAL:
-            raise LPSolverError("phase 1 reported an unbounded auxiliary problem")
-    if -T[-1, -1] > _TOL * max(1.0, abs(b).sum()):
-        return LPResult(INFEASIBLE)
+    T = _phase1(A, b)
+    basis = np.arange(n, n + m) + np.zeros((K, 1), dtype=np.intp)
+    errors = {}
+    drifted, stuck = _iterate(T, basis, n + m, np.ones(K, dtype=bool))
+    if np.count_nonzero(drifted):  # bounded below by 0: the tableau has drifted
+        for k in drifted.nonzero()[0].tolist():  # refactor from the starting tableau
+            T0, B = _phase1(A[k:k + 1], b[k:k + 1])[0], basis[k]
+            try:
+                T[k, :-1] = np.linalg.solve(T0[:-1, B], T0[:-1])
+            except np.linalg.LinAlgError as exc:
+                errors[k], drifted[k] = f"phase 1 basis is singular on refactoring: {exc}", False
+                continue
+            T[k, -1] = T0[-1] - T0[-1, B] @ T[k, :-1]
+        unbounded, again = _iterate(T, basis, n + m, drifted)
+        errors.update((k, "phase 1 reported an unbounded auxiliary problem")
+                      for k in unbounded.nonzero()[0].tolist())
+        stuck |= again
+    feasible = -T[:, -1, -1] <= _TOL * np.maximum(1.0, np.add.reduce(b, axis=1))  # b >= 0
+    go = feasible & ~stuck
+    if errors:
+        go[list(errors)] = False
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep = []
+    # Drive leftover artificials out of the basis.  A row left without a real
+    # entry to pivot on is a redundant constraint, zeroed for phase 2.
+    art = go[:, None] & (basis >= n)
+    for r in np.logical_or.reduce(art).nonzero()[0].tolist():
+        k = art[:, r].nonzero()[0]
+        nz = np.abs(T[k, r, :n]) > _TOL
+        has = np.logical_or.reduce(nz, axis=1)
+        k, cols = k[has], nz[has].argmax(axis=1)
+        _pivot(T, basis, k, r, cols, T[k, :, cols])
+    live = go[:, None] & (basis < n)
+
+    # Phase 2 on the original costs, reduced row by row as in a sequential
+    # solve; the artificial columns stay in the tableau, out of play.
+    T[:, -1] = 0.0
+    T[:, -1, :n] = c
+    T[:, :-1][~live] = 0.0
+    ks = np.arange(K)
     for r in range(m):
-        if basis[r] >= n:
-            piv = (np.abs(T[r, :n]) > _TOL).nonzero()[0]
-            if not piv.size:
-                continue  # redundant constraint
-            _pivot(T, basis, r, int(piv[0]))
-        keep.append(r)
+        coef = T[ks, -1, basis[:, r]]
+        use = live[:, r] & (coef != 0.0)
+        np.subtract(T[:, -1], coef[:, None] * T[:, r], out=T[:, -1], where=use[:, None])
+    unbounded, again = _iterate(T, basis, n, go)
+    errors.update((k, "simplex iteration limit exceeded")
+                  for k in (stuck | again).nonzero()[0].tolist() if k not in errors)
+    if errors:
+        raise LPSolverError(errors[min(errors)])
 
-    basis = [basis[r] for r in keep]
-    T2 = np.zeros((len(keep) + 1, n + 1))
-    T2[:-1, :n] = T[keep, :n]
-    T2[:-1, -1] = T[keep, -1]
-    T2[-1, :n] = c
-    for r, var in enumerate(basis):
-        if abs(T2[-1, var]) > 0.0:
-            T2[-1] -= T2[-1, var] * T2[r]
-
-    status = _iterate(T2, basis, n)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
-    x = np.zeros(n)
-    x[basis] = T2[:-1, -1]
-    return LPResult(OPTIMAL, x=x, value=float(c @ x))
+    X = np.zeros((K, n + m))
+    X[ks[:, None], basis] = T[:, :-1, -1]  # the zeroed rows' artificials get 0
+    return [LPResult(OPTIMAL, x=x, value=float(ck @ x)) if ok and not unb
+            else LPResult(UNBOUNDED if feas else INFEASIBLE)
+            for x, ck, ok, feas, unb in zip(X[:, :n], c, go.tolist(), feasible.tolist(),
+                                            unbounded.tolist())]

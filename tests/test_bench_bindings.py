@@ -49,3 +49,7 @@ def test_tracer_and_setup_clock_wrap_a_run(tmp_path, monkeypatch):
     assert spans_of == {"engine.sample_index": 400, "games.observe": 200,
                         "adversaries.next_outcome": 200}
     assert pmsim.engine.invoke is originals[[t[1] for t in spans.TARGETS].index("invoke")]
+    # a stale binding of the solver would read 0 LP calls instead of failing
+    analyses, lp_calls = ((arr["name"] == tracer.names.index(name)).sum()
+                          for name in ("geometry.analyze", "simplex.solve_lp"))
+    assert analyses >= 1 and lp_calls >= analyses
