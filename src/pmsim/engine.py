@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, overload
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve
@@ -144,7 +144,15 @@ def flow_system(Q: np.ndarray) -> np.ndarray:
     return A
 
 
-def fixed_point(Q: np.ndarray, residual: np.ndarray | None = None) -> np.ndarray:
+@overload
+def fixed_point(Q: np.ndarray) -> np.ndarray: ...
+
+
+@overload
+def fixed_point(Q: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, float]: ...
+
+
+def fixed_point(Q, residual=None):
     """Stationary distribution p = Qp of a column-stochastic matrix.
 
     Direct dense solve of the :func:`flow_system` of Q by the LAPACK gufunc
@@ -160,7 +168,9 @@ def fixed_point(Q: np.ndarray, residual: np.ndarray | None = None) -> np.ndarray
     engine, which checks each column as it writes it, passes a ``residual``
     buffer instead and leaves the errstate to :meth:`Engine.run`; then the
     buffer receives ``|Qp - p|`` for the returned p, and the call returns
-    ``(p, l1)`` with l1 the buffer's sum as a Python float.
+    ``(p, l1)`` with l1 the buffer's sum as a Python float.  Both forms share
+    this one module-level name, so a wrapper of it (``bench/spans.py``
+    traces ``pmsim.engine.fixed_point``) sees every round.
     """
     if residual is None:
         Q = np.asarray(Q, dtype=float)

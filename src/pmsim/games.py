@@ -150,7 +150,7 @@ class Game:
         """Signal matrix of the pair (i, j): rows of action i, then of action j."""
         if i == j:
             raise ValueError(f"stacked signal matrix needs two distinct actions, got {i}")
-        return np.concatenate((self.signal_matrices[i].matrix, self.signal_matrices[j].matrix))
+        return np.vstack([self.signal_matrices[i].matrix, self.signal_matrices[j].matrix])
 
     def observe(self, i: int, j: int, rng: np.random.Generator | None = None) -> int:
         """Index, in action ``i``'s symbols, of the signal seen against outcome ``j``.

@@ -11,17 +11,15 @@ strict gate, since the learner's guarantees assume neither occurs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGameError, DominatedActionError
 from .games import Game
-from .simplex import INFEASIBLE, UNBOUNDED, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 MARGIN_TOL = 1e-7
-_SPECIAL = {INFEASIBLE: -np.inf, UNBOUNDED: np.inf}  # margins of LPs without an optimum
 _EQUAL_ROW_TOL = 1e-12
 _Q_TOL = 1e-9
 
@@ -93,31 +91,7 @@ def second_best(L, q) -> int:
     return int(rest[np.argmin(values[rest])])
 
 
-@lru_cache(maxsize=16)
-def _layout(N: int, M: int, lps: tuple) -> tuple:
-    """The parts of the stacked LPs ``lps`` that do not depend on the losses."""
-    P, Q, eq_s, eq_t = [], [], [], []
-    for s, (i, eq) in enumerate(lps):
-        skip = {i}.union(*eq)
-        ks = [k for k in range(N) if k not in skip]
-        P.append(ks + [a for a, _ in eq])
-        Q.append([i] * len(ks) + [b for _, b in eq])
-        eq_t += range(len(ks) + 1, N)
-        eq_s += [s] * len(eq)
-    rows = np.zeros((N - 1, N + 1))  # the d and surplus columns of an inequality row
-    rows[:, :2] = -1.0, 1.0
-    rows[:, 2:] = -np.eye(N - 1) + 0.0  # + 0.0: no signed zeros
-    b = np.zeros((len(lps), N))
-    b[:, 0] = 1.0
-    c = np.zeros(M + 1 + N)
-    c[M:M + 2] = -1.0, 1.0
-    parts = (np.array(P, dtype=np.intp), np.array(Q, dtype=np.intp), eq_s, eq_t, rows, b, c)
-    for part in parts[:2] + parts[4:]:
-        part.flags.writeable = False  # shared by every call with these LPs
-    return parts
-
-
-def _margins(L: np.ndarray, lps: tuple) -> list[float]:
+def _margins(L: np.ndarray, lps: list) -> list[float]:
     """Margins of the LPs ``(i, eq)`` of loss ``L``, solved as one stack: ``inf``
     where d is unbounded, ``-inf`` where the LP is infeasible.
 
@@ -128,18 +102,29 @@ def _margins(L: np.ndarray, lps: tuple) -> list[float]:
     enters, so every LP of a game has N rows and one shape.
     """
     N, M = L.shape
-    P, Q, eq_s, eq_t, rows, b, c = _layout(N, M, lps)
-    A = np.zeros((len(lps), N, M + 1 + N))
+    K, W = len(lps), M + 1 + N
+    P, Q, eq_rows = [], [], []
+    for s, (i, eq) in enumerate(lps):
+        skip = {i}.union(*eq)
+        ks = [k for k in range(N) if k not in skip]
+        P += ks + [a for a, _ in eq]
+        Q += [i] * len(ks) + [b for _, b in eq]
+        eq_rows += range(s * N + len(ks) + 1, s * N + N)
+    A = np.zeros((K, N, W))
     A[:, 0, :M] = 1.0
-    np.subtract(L[P], L[Q], out=A[:, 1:, :M])
-    A[:, 1:, M:] = rows
-    A[eq_s, eq_t, M:] = 0.0
-    return [_SPECIAL.get(res.status) or -res.value for res in solve_lp(c, A, b)]
+    A[:, 1:, :M] = (L[P] - L[Q]).reshape(K, N - 1, M)
+    A[:, 1:, M:M + 2] = -1.0, 1.0
+    A.reshape(K, -1)[:, W + M + 2::W + 1] = -1.0  # row r's surplus, column M + 1 + r
+    A.reshape(-1, W)[eq_rows, M:] = 0.0  # an equality row has neither d nor a surplus
+    b, c = np.zeros((K, N)), np.zeros(W)
+    b[:, 0], c[M:M + 2] = 1.0, (-1.0, 1.0)  # q sums to 1; minimize -d = d- - d+
+    return [-res.value if res.status == OPTIMAL else -np.inf if res.status == INFEASIBLE
+            else np.inf for res in solve_lp(c, A, b)]
 
 
 def cell_margin(L, i: int) -> float:
     """Largest margin by which action ``i`` beats all others somewhere on the simplex."""
-    return _margins(np.asarray(L, dtype=float), ((i, ()),))[0]
+    return _margins(np.asarray(L, dtype=float), [(i, ())])[0]
 
 
 def pair_margin(L, i: int, j: int) -> float:
@@ -150,7 +135,7 @@ def pair_margin(L, i: int, j: int) -> float:
     """
     if i == j:
         raise ValueError("pair margin needs two distinct actions")
-    return _margins(np.asarray(L, dtype=float), ((i, ((i, j),)),))[0]
+    return _margins(np.asarray(L, dtype=float), [(i, [(i, j)])])[0]
 
 
 def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, GeometryReport]:
@@ -163,32 +148,28 @@ def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, Geomet
     N = L.shape[0]
     if N < 2:
         raise ValueError("cell decomposition needs at least two actions")
-    scale = 1.0 + np.abs(L).max()
-
-    witnesses: list[tuple[int, ...]] = []
-    for i in range(N):
-        for j in range(i + 1, N):
-            if np.abs(L[i] - L[j]).max() <= _EQUAL_ROW_TOL * scale:
-                witnesses.append((i, j))
+    # equal rows within tolerance are degenerate witnesses
+    tol = _EQUAL_ROW_TOL * (1.0 + np.maximum.reduce(np.abs(L), axis=None))
+    equal = (np.maximum.reduce(np.abs(L[:, None] - L), axis=2) <= tol).tolist()
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    witnesses: list[tuple[int, ...]] = [(i, j) for i, j in pairs if equal[i][j]]
 
     # every cell LP, then every pair LP in (i, j) order, as one stack
-    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
-    found = _margins(L, tuple([(i, ()) for i in range(N)] + [(i, ((i, j),)) for i, j in pairs]))
+    found = _margins(L, [(i, ()) for i in range(N)] + [(i, [(i, j)]) for i, j in pairs])
     cell_margins = np.array(found[:N])
-    dominated = [i for i in range(N) if cell_margins[i] <= MARGIN_TOL]
+    dominated = [i for i, d in enumerate(found[:N]) if d <= MARGIN_TOL]
 
     margins = dict(zip(pairs, found[N:]))
+    adjacent = [{i} for i in range(N)]
     for (i, j), d in margins.items():
-        if -MARGIN_TOL <= d <= MARGIN_TOL:
+        if d > MARGIN_TOL:
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+        elif d >= -MARGIN_TOL:
             for k in range(N):  # is the tie face also on k's boundary?
-                if k not in (i, j) and _margins(L, ((i, ((i, j), (k, i))),))[0] != -np.inf:
+                if k not in (i, j) and _margins(L, [(i, [(i, j), (k, i)])])[0] != -np.inf:
                     witnesses.append((i, j, k))
-
-    neighbors = tuple(
-        tuple(sorted({i} | {j for j in range(N) if j != i
-                            and margins[(min(i, j), max(i, j))] > MARGIN_TOL}))
-        for i in range(N)
-    )
+    neighbors = tuple(tuple(sorted(a)) for a in adjacent)
     graph = NeighborhoodGraph(n_actions=N, neighbors=neighbors, margins=margins)
     return graph, GeometryReport(cell_margins, dominated, witnesses)
 

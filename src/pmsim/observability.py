@@ -7,10 +7,6 @@ observed signals into unbiased loss-difference estimates, so its existence
 for every neighboring pair is exactly what the learner needs.  We always pick
 the minimum-norm solution: it is unique, reproducible, and minimizes the
 constant that scales the regret guarantee.
-
-The solve calls LAPACK's ``lstsq`` gufunc directly, with the arguments
-``np.linalg.lstsq`` passes it, as ``np.linalg.lstsq``'s Python checks cost
-more than the solve of a few-row system.
 """
 
 from __future__ import annotations
@@ -18,24 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import lstsq as _lapack_lstsq
 
 from .games import Game
 from .geometry import NeighborhoodGraph
 
 REL_TOL = 1e-8
-_EPS = np.finfo(float).eps
-
-
-def _no_convergence(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _min_norm_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a 2-D ``a`` and a 1-D ``b``, bit for bit."""
-    with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        return _lapack_lstsq(a, b[:, None], _EPS * max(a.shape), signature="ddd->ddid")[0][:, 0]
 
 
 @dataclass(frozen=True)
@@ -105,7 +88,7 @@ def solve_observer(game: Game, i: int, j: int) -> ObserverVector:
         raise ValueError("observer vectors are defined for distinct actions")
     stacked = game.stacked_signal_matrix(i, j)
     target = game.loss[j] - game.loss[i]
-    v = _min_norm_solution(stacked.T, target)
+    v, *_ = np.linalg.lstsq(stacked.T, target, rcond=None)
     residual = float(np.abs(stacked.T @ v - target).max())
     tol = REL_TOL * (1.0 + float(np.abs(target).max()))
     return ObserverVector(

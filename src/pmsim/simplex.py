@@ -45,7 +45,8 @@ def _pivot(T: np.ndarray, basis: np.ndarray, k, rows, cols, col: np.ndarray) -> 
     ``T[k, :, cols]``."""
     a = np.arange(len(k))
     S = T if len(k) == len(T) else T[k]
-    prow = S[a, rows] / col[a, rows][:, None]
+    prow = S[a, rows]
+    prow /= col[a, rows][:, None]
     f = col[:, :, None]
     # rows with a zero factor (either sign) are left untouched; the pivot
     # row's own update is overwritten
@@ -59,11 +60,14 @@ def _pivot(T: np.ndarray, basis: np.ndarray, k, rows, cols, col: np.ndarray) -> 
 def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
     """Leaving row of each LP, and the flags of the LPs without a candidate row."""
     cand = col > _TOL
-    ratio = np.where(cand, rhs, np.inf) / np.where(cand, col, 1.0)
+    ratio = np.full(col.shape, np.inf)
+    np.divide(rhs, col, out=ratio, where=cand)
     best = np.minimum.reduce(ratio, axis=1, keepdims=True)
-    tied = ratio == best  # an LP without a candidate ties every row at inf
+    near = ratio <= best + 2 * _TOL  # all rows of an LP without a candidate (inf <= inf)
+    if np.count_nonzero(near) == len(col) and col.shape[1] > 1:  # so one near row is its best
+        return near.argmax(axis=1), np.zeros(len(col), dtype=bool)
+    tied = ratio == best
     leaving = np.where(tied, basis, np.inf).argmin(axis=1)
-    near = ratio <= best + 2 * _TOL
     if np.count_nonzero(near) > np.count_nonzero(tied):  # a ratio near the best, not tied:
         slow = np.logical_or.reduce(near > tied, axis=1).nonzero()[0]  # scan those LPs' rows
         x_all = np.where(cand, ratio, 0.0)[slow]
@@ -94,8 +98,9 @@ def _iterate(T: np.ndarray, basis: np.ndarray, n_cols: int, todo: np.ndarray):
         col = T[k, :, cols]
         rows, stop = _ratio_test(col[:, :-1], T[sel, :-1, -1], basis[sel])
         if np.count_nonzero(stop):
-            unbounded[k[stop]], todo[k[stop]] = True, False
-            k, rows, cols, col = k[~stop], rows[~stop], cols[~stop], col[~stop]
+            done, stop = k[stop], ~stop
+            unbounded[done], todo[done] = True, False
+            k, rows, cols, col = k[stop], rows[stop], cols[stop], col[stop]
         _pivot(T, basis, k, rows, cols, col)
     return unbounded, todo
 
@@ -115,16 +120,13 @@ def solve_lp(c, A, b):
     """Minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``: ``A`` (m, n) gives
     one :class:`LPResult`, and a stack ``A`` (K, m, n), with ``b`` (K, m) and
     ``c`` (n,) or (K, n), the list of the K results its LPs give alone."""
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    A, b, c = np.asarray(A, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float)
     if A.ndim == 2:
         return solve_lp(c, A[None], b[None])[0]
     K, m, n = A.shape
-    c = np.asarray(c, dtype=float)
-    if c.ndim == 1:
-        c = c[None].repeat(K, axis=0)  # a cost row per LP
     if K > _BLOCK:
-        return [res for s in range(0, K, _BLOCK)
-                for res in solve_lp(c[s:s + _BLOCK], A[s:s + _BLOCK], b[s:s + _BLOCK])]
+        return [res for s in range(0, K, _BLOCK) for res in
+                solve_lp(c if c.ndim == 1 else c[s:s + _BLOCK], A[s:s + _BLOCK], b[s:s + _BLOCK])]
     if np.count_nonzero(neg := b < 0):
         A, b = A.copy(), b.copy()
         A[neg] *= -1
@@ -132,7 +134,7 @@ def solve_lp(c, A, b):
 
     # Phase 1: artificial basis, minimize the sum of artificials.
     T = _phase1(A, b)
-    basis = np.arange(n, n + m) + np.zeros((K, 1), dtype=np.intp)
+    basis = np.arange(n, n + m)[None].repeat(K, axis=0)
     errors = {}
     drifted, stuck = _iterate(T, basis, n + m, np.ones(K, dtype=bool))
     if np.count_nonzero(drifted):  # bounded below by 0: the tableau has drifted
@@ -148,41 +150,44 @@ def solve_lp(c, A, b):
         errors.update((k, "phase 1 reported an unbounded auxiliary problem")
                       for k in unbounded.nonzero()[0].tolist())
         stuck |= again
-    feasible = -T[:, -1, -1] <= _TOL * np.maximum(1.0, np.add.reduce(b, axis=1))  # b >= 0
+    feasible = T[:, -1, -1] >= -_TOL * np.maximum(1.0, np.add.reduce(b, axis=1))  # b >= 0
     go = feasible & ~stuck
     if errors:
         go[list(errors)] = False
 
     # Drive leftover artificials out of the basis.  A row left without a real
     # entry to pivot on is a redundant constraint, zeroed for phase 2.
-    art = go[:, None] & (basis >= n)
-    for r in np.logical_or.reduce(art).nonzero()[0].tolist():
-        k = art[:, r].nonzero()[0]
-        nz = np.abs(T[k, r, :n]) > _TOL
-        has = np.logical_or.reduce(nz, axis=1)
-        k, cols = k[has], nz[has].argmax(axis=1)
-        _pivot(T, basis, k, r, cols, T[k, :, cols])
-    live = go[:, None] & (basis < n)
+    art = (basis >= n) & go[:, None]
+    if np.count_nonzero(art):
+        for r in np.logical_or.reduce(art).nonzero()[0].tolist():
+            k = art[:, r].nonzero()[0]
+            nz = np.abs(T[k, r, :n]) > _TOL
+            has = np.logical_or.reduce(nz, axis=1)
+            k, cols = k[has], nz[has].argmax(axis=1)
+            _pivot(T, basis, k, r, cols, T[k, :, cols])
+        T[:, :-1][(basis >= n) & go[:, None]] = 0.0
 
     # Phase 2 on the original costs, reduced row by row as in a sequential
-    # solve; the artificial columns stay in the tableau, out of play.
-    T[:, -1] = 0.0
-    T[:, -1, :n] = c
-    T[:, :-1][~live] = 0.0
+    # solve (a zero coefficient changes at most the sign of a zero cost); the
+    # artificial columns stay in the tableau, out of play.
+    cost = T[:, -1]
+    cost[:, n:] = 0.0
+    cost[:, :n] = c
     ks = np.arange(K)
     for r in range(m):
-        coef = T[ks, -1, basis[:, r]]
-        use = live[:, r] & (coef != 0.0)
-        np.subtract(T[:, -1], coef[:, None] * T[:, r], out=T[:, -1], where=use[:, None])
+        coef = cost[ks, basis[:, r]]
+        cost -= coef[:, None] * T[:, r]
     unbounded, again = _iterate(T, basis, n, go)
-    errors.update((k, "simplex iteration limit exceeded")
-                  for k in (stuck | again).nonzero()[0].tolist() if k not in errors)
+    if np.count_nonzero(stuck) or np.count_nonzero(again):
+        errors.update((k, "simplex iteration limit exceeded")
+                      for k in (stuck | again).nonzero()[0].tolist() if k not in errors)
     if errors:
         raise LPSolverError(errors[min(errors)])
 
     X = np.zeros((K, n + m))
     X[ks[:, None], basis] = T[:, :-1, -1]  # the zeroed rows' artificials get 0
+    cs = [c] * K if c.ndim == 1 else c
     return [LPResult(OPTIMAL, x=x, value=float(ck @ x)) if ok and not unb
             else LPResult(UNBOUNDED if feas else INFEASIBLE)
-            for x, ck, ok, feas, unb in zip(X[:, :n], c, go.tolist(), feasible.tolist(),
+            for x, ck, ok, feas, unb in zip(X[:, :n], cs, go.tolist(), feasible.tolist(),
                                             unbounded.tolist())]

@@ -3,10 +3,9 @@
 The round calls LAPACK's ``solve1`` gufunc instead of ``np.linalg.solve``,
 ``Q.dot(p)`` instead of ``Q @ p`` and ``counts.dot(L)`` instead of
 ``counts @ L``, and draws its uniforms in blocks, ``Generator.random(n)``,
-instead of one ``random()`` at a time; the observers come from LAPACK's
-``lstsq`` gufunc instead of ``np.linalg.lstsq``.  Each pair must agree bit
-for bit (``np.array_equal``, or ``==`` on Python floats), so a numpy upgrade
-that changes one of them fails here rather than in a digest.
+instead of one ``random()`` at a time.  Each pair must agree bit for bit
+(``np.array_equal``, or ``==`` on Python floats), so a numpy upgrade that
+changes one of them fails here rather than in a digest.
 """
 
 import os
@@ -15,9 +14,8 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from pmsim import Engine, EngineConfig, catalog, load_game, make_adversary, resolve_game
+from pmsim import Engine, EngineConfig, make_adversary, resolve_game
 from pmsim.engine import UNIFORM_BLOCK, BlockUniforms, flow_system
-from pmsim.observability import _min_norm_solution
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -99,25 +97,3 @@ def test_uniform_blocks_match_scalar_draws_on_the_engine_streams(seed):
         assert drawn == [scalar.random() for _ in drawn]
         wrapped = BlockUniforms(wrapped)
         assert drawn == [wrapped.random() for _ in drawn]
-
-
-def test_min_norm_solution_matches_lstsq():
-    """Full-rank, rank-deficient, tall and wide systems, and every pair of the test games."""
-    rng = np.random.default_rng(12)
-    systems = []
-    for _ in range(300):
-        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-        a = rng.normal(size=(m, n))
-        if rng.random() < 0.3:  # repeated columns: rank deficient
-            a[:, rng.integers(n, size=n)] = a[:, :1]
-        systems.append((a, rng.normal(size=m)))
-    games = [entry.game for entry in catalog()]
-    games += [load_game(os.path.join(DATA, name)) for name in ("bandit3.json", "noisy3.json")]
-    for game in games:
-        for i in range(game.n_actions):
-            for j in range(game.n_actions):
-                if i != j:
-                    systems.append((game.stacked_signal_matrix(i, j).T,
-                                    game.loss[j] - game.loss[i]))
-    for a, b in systems:
-        assert np.array_equal(_min_norm_solution(a, b), np.linalg.lstsq(a, b, rcond=None)[0])
