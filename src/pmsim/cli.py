@@ -60,6 +60,13 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _flag(field: str, parse, text: str | None):
+    try:
+        return parse(text) if text else None
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
@@ -78,11 +85,11 @@ def _cmd_run(args) -> int:
         config = ExperimentConfig(
             game=args.game,
             adversary=args.adversary,
-            horizons=_int_list(args.T),
-            seeds=_int_list(args.seeds) if "," in args.seeds else int(args.seeds),
-            eta=_eta_gamma(args.eta),
-            gamma=_eta_gamma(args.gamma),
-            checkpoints=_int_list(args.checkpoints) if args.checkpoints else None,
+            horizons=_flag("horizons", _int_list, args.T),
+            seeds=_flag("seeds", _int_list if "," in args.seeds else int, args.seeds),
+            eta=_flag("eta", _eta_gamma, args.eta),
+            gamma=_flag("gamma", _eta_gamma, args.gamma),
+            checkpoints=_flag("checkpoints", _int_list, args.checkpoints),
             out_dir=args.out,
         )
     result = run_experiment(config)

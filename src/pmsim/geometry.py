@@ -4,8 +4,9 @@ Action ``i``'s cell is the set of outcome distributions against which ``i``
 is a best response.  Two actions are neighbors when their cells share a
 boundary face with positive margin against all other actions; every action
 also neighbors itself.  Games where some cell is empty (dominated action) or
-where three cells meet along a shared face (degenerate) are rejected by the
-strict gate, since the learner's guarantees assume neither occurs.
+where three cells meet along a shared face (degenerate), or whose graph is
+disconnected, are refused by :func:`strict_gate`, since the learner's
+guarantees assume none of these occurs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateGameError, DominatedActionError
 from .games import Game
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
+from .simplex import solve_lp
 
 MARGIN_TOL = 1e-7
 _EQUAL_ROW_TOL = 1e-12
@@ -59,10 +60,6 @@ class GeometryReport:
     dominated_actions: list[int]
     degenerate_witnesses: list[tuple[int, ...]]
 
-    @property
-    def clean(self) -> bool:
-        return not self.dominated_actions and not self.degenerate_witnesses
-
 
 def _check_distribution(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
@@ -91,7 +88,7 @@ def second_best(L, q) -> int:
     return int(rest[np.argmin(values[rest])])
 
 
-def _margins(L: np.ndarray, lps: list) -> list[float]:
+def _margins(L: np.ndarray, lps: list) -> np.ndarray:
     """Margins of the LPs ``(i, eq)`` of loss ``L``, solved as one stack: ``inf``
     where d is unbounded, ``-inf`` where the LP is infeasible.
 
@@ -118,13 +115,12 @@ def _margins(L: np.ndarray, lps: list) -> list[float]:
     A.reshape(-1, W)[eq_rows, M:] = 0.0  # an equality row has neither d nor a surplus
     b, c = np.zeros((K, N)), np.zeros(W)
     b[:, 0], c[M:M + 2] = 1.0, (-1.0, 1.0)  # q sums to 1; minimize -d = d- - d+
-    return [-res.value if res.status == OPTIMAL else -np.inf if res.status == INFEASIBLE
-            else np.inf for res in solve_lp(c, A, b)]
+    return -solve_lp(c, A, b)[0]
 
 
 def cell_margin(L, i: int) -> float:
     """Largest margin by which action ``i`` beats all others somewhere on the simplex."""
-    return _margins(np.asarray(L, dtype=float), [(i, ())])[0]
+    return float(_margins(np.asarray(L, dtype=float), [(i, ())])[0])
 
 
 def pair_margin(L, i: int, j: int) -> float:
@@ -135,7 +131,7 @@ def pair_margin(L, i: int, j: int) -> float:
     """
     if i == j:
         raise ValueError("pair margin needs two distinct actions")
-    return _margins(np.asarray(L, dtype=float), [(i, [(i, j)])])[0]
+    return float(_margins(np.asarray(L, dtype=float), [(i, [(i, j)])])[0])
 
 
 def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, GeometryReport]:
@@ -156,31 +152,37 @@ def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, Geomet
 
     # every cell LP, then every pair LP in (i, j) order, as one stack
     found = _margins(L, [(i, ()) for i in range(N)] + [(i, [(i, j)]) for i, j in pairs])
-    cell_margins = np.array(found[:N])
-    dominated = [i for i, d in enumerate(found[:N]) if d <= MARGIN_TOL]
+    cell_margins = found[:N]
+    dominated = (cell_margins <= MARGIN_TOL).nonzero()[0].tolist()
 
-    margins = dict(zip(pairs, found[N:]))
-    adjacent = [{i} for i in range(N)]
+    margins = dict(zip(pairs, found[N:].tolist()))
+    adjacent, ties = [{i} for i in range(N)], []
     for (i, j), d in margins.items():
         if d > MARGIN_TOL:
             adjacent[i].add(j)
             adjacent[j].add(i)
-        elif d >= -MARGIN_TOL:
-            for k in range(N):  # is the tie face also on k's boundary?
-                if k not in (i, j) and _margins(L, [(i, [(i, j), (k, i)])])[0] != -np.inf:
-                    witnesses.append((i, j, k))
+        elif d >= -MARGIN_TOL:  # (i, j, k): is this zero-margin face also on k's boundary?
+            ties += [(i, j, k) for k in range(N) if k not in (i, j)]
+    if ties:
+        on_face = _margins(L, [(i, [(i, j), (k, i)]) for i, j, k in ties]) != -np.inf
+        witnesses += [t for t, hit in zip(ties, on_face.tolist()) if hit]
     neighbors = tuple(tuple(sorted(a)) for a in adjacent)
     graph = NeighborhoodGraph(n_actions=N, neighbors=neighbors, margins=margins)
     return graph, GeometryReport(cell_margins, dominated, witnesses)
 
 
-def build_graph(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, GeometryReport]:
-    """Strict gate: like :func:`analyze_geometry` but rejects unusable games."""
-    graph, report = analyze_geometry(game)
+def strict_gate(graph: NeighborhoodGraph, report: GeometryReport) -> None:
+    """Refuse a game the learner cannot use: degenerate, dominated or disconnected."""
     if report.degenerate_witnesses:
         raise DegenerateGameError(f"degenerate game: tied cells {report.degenerate_witnesses}")
     if report.dominated_actions:
         raise DominatedActionError(f"dominated action(s) {report.dominated_actions}")
     if not graph.is_connected():
         raise DegenerateGameError("neighborhood graph is disconnected")
+
+
+def build_graph(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, GeometryReport]:
+    """Like :func:`analyze_geometry`, but through :func:`strict_gate`."""
+    graph, report = analyze_geometry(game)
+    strict_gate(graph, report)
     return graph, report

@@ -18,10 +18,9 @@ import numpy as np
 
 from .adversaries import Adversary, AdaptiveWorst, FixedSequence, IID
 from .engine import Engine, EngineConfig, check_rates, is_integer, is_number, is_seed
-from .errors import DegenerateGameError, DominatedActionError, GameFormatError, \
-    NotLocallyObservableError
-from .games import Game, load_game
-from .geometry import analyze_geometry
+from .errors import GameFormatError, NotLocallyObservableError
+from .games import Game, game_from_dict, load_game
+from .geometry import analyze_geometry, strict_gate
 from .observability import check_game
 from .regret import RegretReport, regret_report, theorem_bound
 
@@ -37,51 +36,30 @@ class CatalogEntry:
     expected_observable: bool
 
 
-def _bandit_mp() -> Game:
-    return Game.deterministic([[0, 1], [1, 0]], [["0", "1"], ["1", "0"]])
-
-
-def _bandit_mp_random() -> Game:
+# name -> (game document, expected local observability)
+CATALOG: dict[str, tuple[dict, bool]] = {
+    "bandit_mp": ({"loss": [[0, 1], [1, 0]], "signals": [["0", "1"], ["1", "0"]]}, True),
     # bandit_mp with every symbol noised into a 0.9/0.1 mixture
-    def mix(sym):
-        return {sym: 0.9, ("1" if sym == "0" else "0"): 0.1}
-
-    rows = [[mix("0"), mix("1")], [mix("1"), mix("0")]]
-    return Game.with_random_signals([[0, 1], [1, 0]], rows)
-
-
-def _apple_tasting() -> Game:
-    return Game.deterministic([[1, 0], [0, 1]], [["*", "*"], ["0", "1"]])
-
-
-def _label_efficient() -> Game:
-    return Game.deterministic(
-        [[1, 1], [0, 1], [1, 0]],
-        [["0", "1"], ["*", "*"], ["#", "#"]],
-    )
-
-
-def _full_info_3x3() -> Game:
-    sig = [["0", "1", "2"]] * 3
-    return Game.deterministic([[0, 1, 1], [1, 0, 1], [1, 1, 0]], sig)
+    "bandit_mp_random": ({"loss": [[0, 1], [1, 0]], "signal_dists": [
+        [{"0": 0.9, "1": 0.1}, {"1": 0.9, "0": 0.1}],
+        [{"1": 0.9, "0": 0.1}, {"0": 0.9, "1": 0.1}]]}, True),
+    "apple_tasting": ({"loss": [[1, 0], [0, 1]], "signals": [["*", "*"], ["0", "1"]]}, True),
+    "label_efficient": ({"loss": [[1, 1], [0, 1], [1, 0]],
+                         "signals": [["0", "1"], ["*", "*"], ["#", "#"]]}, False),
+    "full_info_3x3": ({"loss": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                       "signals": [["0", "1", "2"]] * 3}, True),
+}
 
 
 def catalog() -> list[CatalogEntry]:
-    """Stock games: the observable classics plus one known-unobservable one."""
-    return [
-        CatalogEntry("bandit_mp", _bandit_mp(), True),
-        CatalogEntry("bandit_mp_random", _bandit_mp_random(), True),
-        CatalogEntry("apple_tasting", _apple_tasting(), True),
-        CatalogEntry("label_efficient", _label_efficient(), False),
-        CatalogEntry("full_info_3x3", _full_info_3x3(), True),
-    ]
+    """Stock games from :data:`CATALOG`: observable classics, one unobservable game."""
+    return [CatalogEntry(name, game_from_dict(doc), ok) for name, (doc, ok) in CATALOG.items()]
 
 
 def resolve_game(name_or_path: str) -> tuple[Game, str]:
     """Catalog name, or a path to a game document."""
-    for entry in catalog():
-        if entry.name == name_or_path:
-            return entry.game, entry.name
+    if name_or_path in CATALOG:
+        return game_from_dict(CATALOG[name_or_path][0]), name_or_path
     if os.path.exists(name_or_path):
         return load_game(name_or_path), name_or_path
     raise GameFormatError(f"no catalog game or file named {name_or_path!r}")
@@ -101,13 +79,16 @@ def _shorthand_doc(spec: str) -> dict:
         return {"kind": "fixed", "outcomes": [int(x) for x in arg.split(",")]}
     if kind == "adaptive":
         return {"kind": "adaptive", "window": int(arg) if arg else None}
-    raise ValueError(f"unknown adversary spec {spec!r}")
+    raise ValueError("unknown kind")
 
 
 def _adversary_doc(spec: Any) -> dict:
     """Dict form of an adversary spec given as a dict or a shorthand string, type-checked."""
     if isinstance(spec, str):
-        spec = _shorthand_doc(spec)
+        try:
+            spec = _shorthand_doc(spec)
+        except ValueError as exc:
+            raise ValueError(f"adversary: bad spec {spec!r}: {exc}") from None
     if not isinstance(spec, dict):
         raise ValueError(f"adversary: need a spec string or object, got {spec!r}")
     kind = spec.get("kind")
@@ -267,8 +248,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the sweep described by ``config`` and persist CSVs plus a summary.
 
     Games failing the observability gate are refused: a classification
-    report is written and NotLocallyObservableError raised.  Dominated or
-    degenerate games are refused via their geometry errors.
+    report is written and NotLocallyObservableError raised.  Games that then
+    fail :func:`~pmsim.geometry.strict_gate` are refused with its errors.
     """
     game, game_name = resolve_game(config.game)
     graph, geo = analyze_geometry(game)
@@ -291,10 +272,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             f"{game_name}: pairs without observers {observers.unobservable_pairs()} "
             f"(report at {path})"
         )
-    if geo.degenerate_witnesses:
-        raise DegenerateGameError(f"{game_name}: tied cells {geo.degenerate_witnesses}")
-    if geo.dominated_actions:
-        raise DominatedActionError(f"{game_name}: dominated action(s) {geo.dominated_actions}")
+    strict_gate(graph, geo)
 
     horizons = sorted(config.horizons)
     seeds = config.seed_list()

@@ -1,14 +1,15 @@
 """Dense two-phase simplex for the tiny linear programs in cell geometry.
 
-Solves  min c.x  subject to  A x = b,  x >= 0,  one LP or a stack of
-same-shape LPs run in lockstep, with Bland's rule so degenerate bases cannot
-cycle.  A lockstep step is one batched entering-column search, ratio test and
-pivot, and gives each LP the pivots it gets alone: a pivot updates only the
-rows with a nonzero factor, each by the same ``a - f*b``, and the ratio test
-picks the row a sequential scan picks, where a ratio within ``_TOL`` of the
-best so far replaces it only with a smaller basis variable.  Exact ties more
-than ``2 * _TOL`` below the other ratios go to the smallest basis variable at
-once; other LPs run the scan, vectorised across LPs.
+Solves  min c.x  subject to  A x = b,  x >= 0  for a stack of same-shape LPs
+run in lockstep, with Bland's rule so degenerate bases cannot cycle: each LP's
+minimum is ``+inf`` if it is infeasible and ``-inf`` if unbounded.  A lockstep
+step is one batched entering-column search, ratio test and pivot, and gives
+each LP the pivots it gets alone: a pivot updates only the rows with a nonzero
+factor, each by the same ``a - f*b``, and the ratio test picks the row a
+sequential scan picks, where a ratio within ``_TOL`` of the best so far
+replaces it only with a smaller basis variable.  Exact ties more than
+``2 * _TOL`` below the other ratios go to the smallest basis variable at once;
+other LPs run the scan, vectorised across LPs.
 
 Phase 1's objective is bounded below by 0, so a phase-1 "unbounded" result is
 rounding drift: only then is the LP's tableau refactored once from its basis
@@ -18,26 +19,13 @@ LPs of a stack fail, the first one's error is raised once the others are done.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LPSolverError
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
 _TOL = 1e-9
 _MAX_ITERS = 10_000
 _BLOCK = 48  # LPs run in lockstep at most, which bounds a stack's scratch memory
-
-
-@dataclass
-class LPResult:
-    status: str
-    x: np.ndarray | None = None
-    value: float | None = None
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, k, rows, cols, col: np.ndarray) -> None:
@@ -117,16 +105,18 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_lp(c, A, b):
-    """Minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``: ``A`` (m, n) gives
-    one :class:`LPResult`, and a stack ``A`` (K, m, n), with ``b`` (K, m) and
-    ``c`` (n,) or (K, n), the list of the K results its LPs give alone."""
+    """Minimize ``c.x`` s.t. ``A x = b``, ``x >= 0`` for each LP of a stack ``A`` (K, m, n),
+    ``b`` (K, m): ``(value, x)``, the K minima and the (K, n) optimal points (NaN where
+    there is none), as each LP gets alone.  A 2-D ``A`` is one LP: a scalar and a point."""
     A, b, c = np.asarray(A, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float)
     if A.ndim == 2:
-        return solve_lp(c, A[None], b[None])[0]
+        value, x = solve_lp(c, A[None], b[None])
+        return value[0], x[0]
     K, m, n = A.shape
     if K > _BLOCK:
-        return [res for s in range(0, K, _BLOCK) for res in
-                solve_lp(c if c.ndim == 1 else c[s:s + _BLOCK], A[s:s + _BLOCK], b[s:s + _BLOCK])]
+        value, x = zip(*(solve_lp(c, A[s:s + _BLOCK], b[s:s + _BLOCK])
+                         for s in range(0, K, _BLOCK)))
+        return np.concatenate(value), np.concatenate(x)
     if np.count_nonzero(neg := b < 0):
         A, b = A.copy(), b.copy()
         A[neg] *= -1
@@ -186,8 +176,10 @@ def solve_lp(c, A, b):
 
     X = np.zeros((K, n + m))
     X[ks[:, None], basis] = T[:, :-1, -1]  # the zeroed rows' artificials get 0
-    cs = [c] * K if c.ndim == 1 else c
-    return [LPResult(OPTIMAL, x=x, value=float(ck @ x)) if ok and not unb
-            else LPResult(UNBOUNDED if feas else INFEASIBLE)
-            for x, ck, ok, feas, unb in zip(X[:, :n], cs, go.tolist(), feasible.tolist(),
-                                            unbounded.tolist())]
+    x = X[:, :n]
+    value = np.where(feasible, -np.inf, np.inf)
+    solved = go & ~unbounded
+    for k in solved.nonzero()[0].tolist():
+        value[k] = c @ x[k]
+    x[~solved] = np.nan
+    return value, x

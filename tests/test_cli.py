@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pmsim.cli
 import pmsim.engine
+import pmsim.geometry
 from pmsim.cli import main
 from pmsim.errors import FixedPointError, LPSolverError
 
@@ -70,6 +71,14 @@ def test_graph_rejects_degenerate(tmp_path, capsys):
     code, _, err = run_cli(capsys, "graph", str(path))
     assert code == 4
     assert "geometry" in err
+
+
+def test_run_rejects_disconnected_graph(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pmsim.geometry.NeighborhoodGraph, "is_connected", lambda self: False)
+    code, _, err = run_cli(capsys, "run", "--game", "bandit_mp", "--T", "10",
+                           "--out", str(tmp_path))
+    assert code == 4
+    assert "disconnected" in err
 
 
 def test_run_with_flags(tmp_path, capsys):
@@ -142,6 +151,15 @@ def test_usage_errors(tmp_path, capsys):
     (["--T", "200", "--checkpoints", "0"], "checkpoints"),
     (["--T", "200", "--checkpoints", "500"], "checkpoints"),
     (["--T", "200,600", "--checkpoints", "300,600"], "checkpoints"),
+    (["--T", "10,x"], "horizons"),
+    (["--seeds", "1,a"], "seeds"),
+    (["--checkpoints", "5,y"], "checkpoints"),
+    (["--eta", "abc"], "eta"),
+    (["--gamma", "x"], "gamma"),
+    (["--adversary", "iid:a,b"], "adversary"),
+    (["--adversary", "fixed:"], "adversary"),
+    (["--adversary", "adaptive:x"], "adversary"),
+    (["--adversary", "nope"], "adversary"),
 ])
 def test_run_rejects_bad_input(tmp_path, capsys, flags, field):
     code, out, err = run_cli(capsys, "run", "--game", "bandit_mp", "--T", "10",

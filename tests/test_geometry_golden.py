@@ -22,7 +22,9 @@ import os
 import numpy as np
 import pytest
 
+import pmsim.geometry
 from pmsim import analyze_geometry, catalog, load_game
+from pmsim.simplex import solve_lp
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -40,7 +42,7 @@ def voronoi_loss(seed: int, n: int, m: int) -> np.ndarray:
 
 def _games():
     games = {entry.name: entry.game for entry in catalog()}
-    for name in ("voronoi_n16.json", "bandit3.json"):
+    for name in ("voronoi_n16.json", "bandit3.json", "noisy_voronoi_n8.json"):
         games[name] = load_game(os.path.join(DATA, name))
     for seed, n, m in ((6, 6, 4), (10, 10, 5), (16, 16, 6), (1002, 16, 6)):
         games[f"voronoi_s{seed}_n{n}_m{m}"] = voronoi_loss(seed, n, m)
@@ -65,6 +67,8 @@ DIGESTS = {
         "513128c973b0a088891a9b99811502fb8687fd8f97da087ebc84acf940020b65",
     "bandit3.json":
         "32474f16aea358ac62372e9d3cce5978b635c7528e06e18c1dc9c5aeed2f8d1d",
+    "noisy_voronoi_n8.json":
+        "663d08e4c44f18e3eba383a49eb40057b33c0489a167bdb8baf7efe9015404c5",
     "voronoi_s6_n6_m4":
         "b9af048b719e2194c898e3dcad24bee799d72a34c8b7f9da3b5e82b919c508c2",
     "voronoi_s10_n10_m5":
@@ -92,6 +96,20 @@ def geometry_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GAMES))
 def test_geometry_digest(name):
     assert geometry_digest(name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, calls", [("voronoi_n16.json", 1), ("no_tie", 2)])
+def test_solver_calls_per_analysis(monkeypatch, name, calls):
+    # one stack for the cell and pair LPs, and one for every triple-tie candidate
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(pmsim.geometry, "solve_lp", counting)
+    analyze_geometry(GAMES[name])
+    assert len(seen) == calls
 
 
 if __name__ == "__main__":

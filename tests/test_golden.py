@@ -50,6 +50,11 @@ CASES = {
     # run from the data directory so that summary.json records the bare file name
     "voronoi-n16": dict(game="voronoi_n16.json", adversary="adaptive", horizons=[60],
                         seeds=1, checkpoints=[1, 30, 60]),
+    # N=8 with noisy signals and neighbor sets of 4 to 8 actions
+    "noisy-voronoi-n8-adaptive": dict(game="noisy_voronoi_n8.json", adversary="adaptive",
+                                      horizons=[100, 400], seeds=2, checkpoints=[50, 100, 400]),
+    "noisy-voronoi-n8-iid": dict(game="noisy_voronoi_n8.json", adversary="iid:0.4,0.3,0.2,0.1",
+                                 horizons=[100, 400], seeds=2, checkpoints=[50, 100, 400]),
 }
 
 DIGESTS = {
@@ -87,6 +92,10 @@ DIGESTS = {
         "25a9a47733bcc906bd99e33cb3a2a25425f58c5238a489e7ce1e5e0190c8883c",
     "voronoi-n16":
         "78f88af09d49cb2e7c6f8d578e85a55f8e89945c6ce53a030587823c53fbb494",
+    "noisy-voronoi-n8-adaptive":
+        "8d9cee5ce46943d495ed06de7d7c4e61300767e6ae06f1d8ab16dc0b9ed23411",
+    "noisy-voronoi-n8-iid":
+        "0694b81643e6d475ba29424bf10d192d1828a09faf16866d462465055372a04c",
 }
 
 
