@@ -55,6 +55,10 @@ CASES = {
                                       horizons=[100, 400], seeds=2, checkpoints=[50, 100, 400]),
     "noisy-voronoi-n8-iid": dict(game="noisy_voronoi_n8.json", adversary="iid:0.4,0.3,0.2,0.1",
                                  horizons=[100, 400], seeds=2, checkpoints=[50, 100, 400]),
+    # N=16 with neighbor sets of 8 to 15 actions, so the weight total runs the
+    # eight-accumulator order of numpy's pairwise sum
+    "voronoi-n16-iid": dict(game="voronoi_n16.json", adversary="iid", horizons=[200, 800],
+                            seeds=2, checkpoints=[200, 800]),
 }
 
 DIGESTS = {
@@ -96,6 +100,8 @@ DIGESTS = {
         "8d9cee5ce46943d495ed06de7d7c4e61300767e6ae06f1d8ab16dc0b9ed23411",
     "noisy-voronoi-n8-iid":
         "0694b81643e6d475ba29424bf10d192d1828a09faf16866d462465055372a04c",
+    "voronoi-n16-iid":
+        "41bf107ed8670ed4cdf6fc3aa7675300b4c99e3a5e75471cc09a6fc20b6e7d99",
 }
 
 
