@@ -20,13 +20,17 @@ Python checks cost more than a 16x16 solve; :meth:`Engine.run` holds the one
 ``np.errstate`` that keeps a singular system's NaN silent.
 
 A round's cost is mostly numpy's per-call overhead on vectors of 2 to 16
-entries, so the round makes as few numpy calls as keep every bit.  Arithmetic
-that feeds the trajectory stays on numpy (``np.exp``, ``np.add.reduce`` of the
-weights and of ``p``, ``Q.dot``, ``solve1``): ``math.exp`` and Python's
-``sum`` can differ in the last bit.  Checks that only accept or refuse, such
-as :func:`check_column`, use Python floats.  Uniforms come a block at a time
-through :class:`BlockUniforms`, which returns the values and the order of
-one ``random()`` call per draw.
+entries, so the round makes as few numpy calls as keep every bit.
+Elementwise arithmetic runs on Python floats, which round each sum, product
+and quotient as numpy does: the learners' ``x``, ``f`` and ``q`` are lists,
+and the engine samples I from ``q`` and writes it into Q as one.  The weight
+total follows numpy's pinned reduction order
+(:func:`~pmsim.learner.weight_total`).  ``np.exp``, the ``np.add.reduce`` of
+``p``, ``Q.dot`` and ``solve1`` stay on numpy, as do the set-up's ``lstsq``
+solves: ``math.exp`` and a reordered sum can differ in the last bit.  Checks
+that only accept or refuse, such as :func:`check_column`, use Python floats
+too.  Uniforms come a block at a time through :class:`BlockUniforms`, which
+returns the values and the order of one ``random()`` call per draw.
 """
 
 from __future__ import annotations
@@ -110,23 +114,21 @@ class Transcript(NamedTuple):
     loss: np.ndarray
 
 
-def check_column(q: np.ndarray, k: int) -> None:
+def check_column(q: list[float], k: int) -> None:
     """Refuse a column ``q`` of Q, naming it as column ``k``, that is not a distribution.
 
-    A check only, so its sum and min are taken on Python floats, which are
-    cheaper than numpy calls on a vector this short; nothing it computes feeds
-    the trajectory.
+    A check only: nothing it computes feeds the trajectory, so Python's
+    ``sum`` serves.
     """
-    entries = q.tolist()
-    total = sum(entries)  # NaN in q makes the sum NaN, which fails the test below
-    if not (min(entries) >= -1e-10 and abs(total - 1.0) <= 1e-10):
+    total = sum(q)  # NaN in q makes the sum NaN, which fails the test below
+    if not (min(q) >= -1e-10 and abs(total - 1.0) <= 1e-10):
         raise FixedPointError(f"non-stochastic column {k} (sum {total!r})")
 
 
 def check_columns(Q: np.ndarray) -> None:
     """Refuse a Q any of whose columns is not a distribution (see :func:`check_column`)."""
-    for k in range(Q.shape[0]):
-        check_column(Q[:, k], k)
+    for k, q in enumerate(Q.T.tolist()):
+        check_column(q, k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,9 +267,9 @@ class BlockUniforms:
             return self._next()
 
 
-def sample_index(rng: np.random.Generator, pmf: np.ndarray) -> int:
+def sample_index(rng: np.random.Generator, pmf: list[float]) -> int:
     """Inverse-CDF draw from ``pmf`` consuming exactly one uniform (see :func:`draw_index`)."""
-    return draw_index(rng, list(accumulate(pmf.tolist())))
+    return draw_index(rng, list(accumulate(pmf)))
 
 
 class Engine:
@@ -340,7 +342,7 @@ class Engine:
             raise FixedPointError(f"flow condition violated at round {self.t}: {l1:.3e}")
         self.p = p
 
-        k = sample_index(self.rng, p)
+        k = sample_index(self.rng, p.tolist())
         a = sample_index(self.rng, self.learners[k].q)
         tr = self.transcript
         j = self.adversary.next_outcome(self.t, tr.action[:self.t - 1])

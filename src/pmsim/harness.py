@@ -72,6 +72,8 @@ def _list_of(check, x) -> bool:
 def _shorthand_doc(spec: str) -> dict:
     kind, _, arg = spec.partition(":")
     if kind == "uniform":
+        if arg:
+            raise ValueError("kind 'uniform' takes no argument")
         return {"kind": "iid", "dist": "uniform"}
     if kind == "iid":
         return {"kind": "iid", "dist": [float(x) for x in arg.split(",")] if arg else "uniform"}

@@ -7,50 +7,56 @@ every round it can learn from into a relative-cost vector over its neighbors;
 when invoked it feeds that to an exponential-weights update, re-emits its
 sampling distribution mixed with a little uniform exploration, and restarts
 the sum from zero.
+
+A learner's vectors have at most N entries, so its round runs on Python
+floats: ``x``, ``f`` and ``q`` are lists, and elementwise sums, products and
+quotients round as numpy's do.  The weight total follows numpy's pinned
+reduction order (:func:`weight_total`), and ``np.exp`` stays on numpy,
+since ``math.exp`` can differ from it in the last bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import add, mul
 
 import numpy as np
 
-from .observability import ObservabilityReport
+from .observability import LearnerTables, ObservabilityReport
 
 
 @dataclass
 class LearnerState:
     action: int
     neighbors: np.ndarray  # sorted, includes the owner
-    x: np.ndarray          # exponential-weights iterate over neighbors
-    q: np.ndarray          # mixed distribution over all N actions
+    x: list[float]         # exponential-weights iterate over neighbors
+    q: list[float]         # mixed distribution over all N actions
     eta: float
     gamma: float
-    top: np.ndarray        # row s: observer (i, j)'s entry for own symbol s, per neighbor j
-    bottom: dict[int, tuple[int, np.ndarray]]  # j -> (index in neighbors, block over j's symbols)
-    f: np.ndarray          # relative costs over neighbors, summed since the last invocation
+    tables: LearnerTables  # the owner's observer tables, shared with every learner of its report
+    f: list[float]         # relative costs over neighbors, summed since the last invocation
     buffer: list[int] = field(default_factory=list)  # rounds summed into f since then
 
 
 def make_learner(action: int, neighbors, n_actions: int, eta: float, gamma: float,
                  observers: ObservabilityReport) -> LearnerState:
     """Fresh learner with the uniform mixed distribution over its neighbor set."""
-    neighbors = np.asarray(sorted(neighbors), dtype=int)
-    x = np.full(len(neighbors), 1.0 / len(neighbors))
-    q = np.zeros(n_actions)
-    q[neighbors] = x
-    ovs = {j: observers.observer(action, j) for j in neighbors.tolist() if j != action}
-    n_own = next(iter(ovs.values())).split
-    top = np.array([ovs[j].top if j in ovs else np.zeros(n_own) for j in neighbors.tolist()])
-    return LearnerState(
-        action=action, neighbors=neighbors, x=x, q=q, eta=eta, gamma=gamma,
-        top=np.ascontiguousarray(top.T), f=np.zeros(len(neighbors)),
-        bottom={j: (int(np.searchsorted(neighbors, j)), ov.bottom) for j, ov in ovs.items()},
-    )
+    tables = observers.learner_tables[action]
+    neighbors = tuple(sorted(neighbors))
+    if neighbors != tables.neighbors:
+        raise ValueError(f"learner {action}: neighbors {list(neighbors)} differ from "
+                         f"the observers' {list(tables.neighbors)}")
+    n = len(neighbors)
+    q = [0.0] * n_actions
+    for j in neighbors:
+        q[j] = 1.0 / n
+    return LearnerState(action=action, neighbors=np.array(neighbors), x=[1.0 / n] * n, q=q,
+                        eta=eta, gamma=gamma, tables=tables, f=[0.0] * n)
 
 
-def estimate_b(state: LearnerState, k: int, played: int, symbol: int, q: np.ndarray,
+def estimate_b(state: LearnerState, k: int, played: int, symbol: int, q: Sequence[float],
                observers: ObservabilityReport, j: int) -> float:
     """Loss-difference estimate of neighbor ``j`` against the owner, from one round.
 
@@ -84,13 +90,47 @@ def add_round(learners: list[LearnerState], t: int, k: int, played: int, symbol:
     this gives the bits of the summed per-round :func:`estimate_b` values.
     """
     own = learners[played]
-    own.f += own.top[symbol]
+    own.f = list(map(add, own.f, own.tables.top[symbol]))
     own.buffer.append(t)
     if k != played:
         lk = learners[k]
-        pos, bottom = lk.bottom[played]
+        pos, bottom = lk.tables.bottom[played]
         lk.f[pos] += bottom[symbol] / lk.q[played]
         lk.buffer.append(t)
+
+
+def weight_total(w: list[float]) -> float:
+    """``np.add.reduce`` of the non-negative floats ``w`` as a float64 vector, bit for bit.
+
+    Follows numpy's pairwise summation: below 8 entries, one running sum from
+    0.0; up to its block of 128, eight running sums over the entries taken
+    eight at a time, combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``,
+    then the leftover entries in order.  Longer vectors go to numpy.  Not
+    Python's ``sum``, which compensates since Python 3.12.
+    """
+    n = len(w)
+    if n < 8:
+        total = 0.0
+        for v in w:
+            total += v
+        return total
+    if n > 128:
+        return float(np.add.reduce(w))
+    r0, r1, r2, r3, r4, r5, r6, r7 = w[:8]
+    tail = n - n % 8
+    for b in range(8, tail, 8):
+        r0 += w[b]
+        r1 += w[b + 1]
+        r2 += w[b + 2]
+        r3 += w[b + 3]
+        r4 += w[b + 4]
+        r5 += w[b + 5]
+        r6 += w[b + 6]
+        r7 += w[b + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in w[tail:]:
+        total += v
+    return total
 
 
 def exp_weights_step(x: np.ndarray, f: np.ndarray, eta: float) -> np.ndarray:
@@ -125,10 +165,27 @@ def exp_weights_step(x: np.ndarray, f: np.ndarray, eta: float) -> np.ndarray:
 def invoke(state: LearnerState, observers: ObservabilityReport) -> LearnerState:
     """One invocation: weight update from the costs :func:`add_round` summed, re-mixed q.
 
-    ``observers`` is not consulted: the learner read its tables when it was made.
+    The update is :func:`exp_weights_step` on Python floats, with one numpy
+    call, ``np.exp``, and :func:`weight_total` for numpy's sum; when it gives
+    no usable mass, :func:`exp_weights_step` itself redoes it.  ``observers``
+    is not consulted: the learner read its tables when it was made.
     """
-    state.x = exp_weights_step(state.x, state.f, state.eta)
-    state.q[state.neighbors] = (1.0 - state.gamma) * state.x + state.gamma / len(state.neighbors)
-    state.f.fill(0.0)
+    x, f = state.x, state.f
+    neg_eta = -state.eta
+    # rounding is monotone, so for eta >= 0 this is the largest exponent, max(-eta * f);
+    # a NaN in f makes the total NaN, as in exp_weights_step
+    zmax = neg_eta * min(f)
+    w = list(map(mul, np.exp([neg_eta * c - zmax for c in f]).tolist(), x))
+    total = weight_total(w)
+    if total > 0.0 and math.isfinite(total):
+        x = [v / total for v in w]
+    else:
+        x = exp_weights_step(np.array(x), np.array(f), state.eta).tolist()
+    state.x = x
+    keep, spread = 1.0 - state.gamma, state.gamma / len(x)
+    q = state.q
+    for j, xj in zip(state.tables.neighbors, x):
+        q[j] = keep * xj + spread
+    state.f = [0.0] * len(x)
     state.buffer.clear()
     return state

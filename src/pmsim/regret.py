@@ -95,8 +95,10 @@ def regret_curves(action, outcome, loss, graph: NeighborhoodGraph,
     One pass over a transcript's action and outcome columns, bit-identical to
     feeding :class:`RegretTracker` round by round: each running sum is an
     ``np.cumsum`` (sequential, like ``+=``) from 0.0, row i of the pair sums
-    runs over the rounds that played i, and external regret takes one
-    ``loss @ counts`` mat-vec per checkpoint.  Memory is O(T * (N + M)), never T * N * N.
+    runs over the rounds that played i, and external regret takes the
+    ``loss @ counts`` mat-vec of every checkpoint as one stack of mat-vecs
+    (``np.matmul`` makes each the call ``loss @ c`` makes; ``counts @ loss.T``
+    differs in the last bit).  Memory is O(T * (N + M)), never T * N * N.
     """
     loss = np.asarray(loss, dtype=float)
     n, m = loss.shape
@@ -106,7 +108,7 @@ def regret_curves(action, outcome, loss, graph: NeighborhoodGraph,
     played = loss[action, outcome]
     cum_loss = np.cumsum(np.concatenate(([0.0], played)))[t]
     counts = np.cumsum(np.eye(m)[outcome], axis=0)[t - 1]  # exact: small integers
-    external = cum_loss - np.array([(loss @ c).min() for c in counts])
+    external = cum_loss - np.matmul(loss, counts[:, :, None])[:, :, 0].min(axis=1)
 
     plays = np.cumsum(np.eye(n, dtype=np.int32)[action], axis=0)[t - 1]
     neighbor = np.zeros((n, n), dtype=bool)

@@ -8,13 +8,16 @@ import pmsim.engine
 from pmsim import AdaptiveWorst, Engine, EngineConfig, analyze_geometry, catalog, check_game, \
     resolve_game
 from pmsim.games import load_game
+import pmsim.learner
 from pmsim.learner import (
+    LearnerState,
     add_round,
     estimate_b,
     exp_weights_step,
     invoke,
     make_learner,
 )
+from pmsim.observability import LearnerTables
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -150,10 +153,73 @@ def test_invoke_keeps_distribution_invariants_on_random_costs():
             state.f[:] = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n)
             with np.errstate(over="ignore", invalid="ignore"):
                 invoke(state, obs)
-            assert abs(state.x.sum() - 1.0) <= 1e-12
-            assert abs(state.q.sum() - 1.0) <= 1e-12
-            assert state.q[state.neighbors].min() >= gamma / n - 1e-12
-            assert not state.f.any() and not state.buffer
+            assert abs(np.asarray(state.x).sum() - 1.0) <= 1e-12
+            assert abs(np.asarray(state.q).sum() - 1.0) <= 1e-12
+            assert np.asarray(state.q)[state.neighbors].min() >= gamma / n - 1e-12
+            assert not np.asarray(state.f).any() and not state.buffer
+
+
+def random_invocation(rng, n, kind):
+    """(x, f, eta) for one invocation over n neighbors; ``kind`` picks which path it takes."""
+    x = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.8)
+    if not x.any():
+        x[rng.integers(n)] = 1.0
+    x = x / x.sum()
+    if kind == "finite":
+        return x, rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n), 10.0 ** rng.uniform(-4, 1)
+    if kind == "overflow":  # the largest exponent, -eta * min(f), overflows
+        f = rng.normal(size=n)
+        f[rng.integers(n)] = -2.0 - rng.random()
+        return x, f, 1e308
+    # every live weight underflows: x's support sits 800 below a dead entry's exponent
+    if x.all():
+        x[0] = 0.0
+        x = x / x.sum()
+    dead = int(np.flatnonzero(x == 0.0)[0])
+    f = 800.0 + rng.random(n) * 10.0
+    f[dead] = 0.0
+    return x, f, 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_invoke_matches_exp_weights_step_and_mixing(n, monkeypatch):
+    """The float round gives the bits of ``exp_weights_step`` and the array mixing of q."""
+    fallbacks = []
+    real_step = pmsim.learner.exp_weights_step
+
+    def counting_step(x, f, eta):
+        fallbacks.append(eta)
+        return real_step(x, f, eta)
+
+    monkeypatch.setattr(pmsim.learner, "exp_weights_step", counting_step)
+    rng = np.random.default_rng(100 + n)
+    n_actions = n + 3
+    finite_fallbacks = 0
+    for trial in range(150):
+        # a single entry cannot underflow while another keeps the maximum exponent
+        kinds = ["finite", "overflow", "underflow"][:3 if n > 1 else 2]
+        kind = kinds[trial % len(kinds)]
+        x, f, eta = random_invocation(rng, n, kind)
+        gamma = float(rng.choice([0.0, rng.uniform(0, 0.5), 1.0]))
+        nbrs = np.sort(rng.choice(n_actions, size=n, replace=False))
+        q = rng.random(n_actions)
+        state = LearnerState(action=int(nbrs[0]), neighbors=nbrs, x=x.tolist(), q=q.tolist(),
+                             eta=eta, gamma=gamma, f=f.tolist(),
+                             tables=LearnerTables(tuple(nbrs.tolist()), (), {}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected_x = real_step(x, f, eta)
+            invoke(state, None)
+        expected_q = q.copy()
+        expected_q[nbrs] = (1.0 - gamma) * expected_x + gamma / n
+        assert [v.hex() for v in state.x] == [v.hex() for v in expected_x.tolist()], (n, trial)
+        assert [v.hex() for v in state.q] == [v.hex() for v in expected_q.tolist()], (n, trial)
+        assert state.f == [0.0] * n
+        if kind == "finite":
+            finite_fallbacks += len(fallbacks)
+        else:
+            assert len(fallbacks) == 1, (n, trial, kind)
+        fallbacks.clear()
+    assert finite_fallbacks < 10  # the random finite costs mostly take the float path
 
 
 def test_exp_weights_identity_on_zero_costs():
@@ -185,7 +251,7 @@ def test_invoke_zero_costs_keeps_uniform(apple_setup):
     add_round(learners, 1, 0, 0, _symbol(game, 0, 1))
     state = invoke(learners[0], obs)
     np.testing.assert_allclose(state.q, [0.5, 0.5], atol=1e-15)
-    assert not state.f.any() and not state.buffer
+    assert not np.asarray(state.f).any() and not state.buffer
 
 
 def test_invoke_gamma_mixing(bandit_setup):
@@ -220,11 +286,11 @@ def test_invoke_restores_distribution_invariants(bandit_setup):
         add_round(learners, t, k, played, _symbol(game, played, int(rng.integers(2))))
         if k == 0:
             invoke(state, obs)
-            assert abs(state.q.sum() - 1.0) <= 1e-12
-            assert abs(state.x.sum() - 1.0) <= 1e-12
-            assert np.all(state.q[state.neighbors] >= 0.3 / 2 - 1e-15)
-            mixed = (1 - 0.3) * state.x + 0.3 / 2
-            np.testing.assert_array_equal(state.q[state.neighbors], mixed)
+            assert abs(np.asarray(state.q).sum() - 1.0) <= 1e-12
+            assert abs(np.asarray(state.x).sum() - 1.0) <= 1e-12
+            assert np.all(np.asarray(state.q)[state.neighbors] >= 0.3 / 2 - 1e-15)
+            mixed = (1 - 0.3) * np.asarray(state.x) + 0.3 / 2
+            np.testing.assert_array_equal(np.asarray(state.q)[state.neighbors], mixed)
 
 
 def test_exp_weights_overflow_takes_the_eta_limit():

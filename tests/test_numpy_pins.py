@@ -3,19 +3,29 @@
 The round calls LAPACK's ``solve1`` gufunc instead of ``np.linalg.solve``,
 ``Q.dot(p)`` instead of ``Q @ p`` and ``counts.dot(L)`` instead of
 ``counts @ L``, and draws its uniforms in blocks, ``Generator.random(n)``,
-instead of one ``random()`` at a time.  Each pair must agree bit for bit
+instead of one ``random()`` at a time.  The learner sums its weights with
+:func:`~pmsim.learner.weight_total` instead of ``np.add.reduce`` and takes
+``np.exp`` of a list instead of an array in place.  Set-up solves observers
+as stacks through LAPACK's ``lstsq`` gufunc instead of one
+``np.linalg.lstsq`` per pair, with one batched product for their
+residuals, and the regret pass takes every checkpoint's ``loss @ c`` as one
+stacked ``np.matmul``.  Each pair must agree bit for bit
 (``np.array_equal``, or ``==`` on Python floats), so a numpy upgrade that
 changes one of them fails here rather than in a digest.
 """
 
+import glob
 import os
 
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from pmsim import Engine, EngineConfig, make_adversary, resolve_game
+from pmsim import Engine, EngineConfig, catalog, make_adversary, resolve_game
 from pmsim.engine import UNIFORM_BLOCK, BlockUniforms, flow_system
+from pmsim.games import game_from_dict
+from pmsim.learner import weight_total
+from pmsim.observability import lstsq_stack, solve_pairs
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -97,3 +107,99 @@ def test_uniform_blocks_match_scalar_draws_on_the_engine_streams(seed):
         assert drawn == [scalar.random() for _ in drawn]
         wrapped = BlockUniforms(wrapped)
         assert drawn == [wrapped.random() for _ in drawn]
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [63, 64, 65, 127, 128, 129, 200])
+def test_weight_total_matches_add_reduce(n):
+    rng = np.random.default_rng(n)
+    for trial in range(200):
+        w = rng.random(n) * 10.0 ** rng.uniform(-300, 300, size=n)
+        if trial % 4 == 1:  # one scale, so many entries round into the sum
+            w = rng.random(n) * 10.0 ** rng.uniform(-300, 300)
+        w[rng.random(n) < 0.2] = 0.0
+        subnormal = rng.random(n) < 0.1
+        w[subnormal] = 5e-324 * rng.integers(1, 2 ** 40, size=int(subnormal.sum()))
+        assert weight_total(w.tolist()) == np.add.reduce(w), (n, trial)
+
+
+def test_exp_of_a_list_matches_exp_in_place():
+    """``np.exp(list).tolist()``, as ``invoke`` takes it, against the array form."""
+    rng = np.random.default_rng(7)
+    for trial in range(3000):
+        n = int(rng.integers(1, 41))
+        z = -rng.random(n) * 10.0 ** rng.uniform(-8, 3.5)
+        z[rng.random(n) < 0.1] = 0.0
+        w = z - max(z.tolist())
+        shifted = w.tolist()
+        np.exp(w, out=w)
+        assert np.exp(shifted).tolist() == w.tolist(), trial
+
+
+def voronoi_game(seed: int):
+    """Seeded Voronoi game of N = 3 to 16 actions; odd seeds mix blind, coarse and full rows."""
+    n, m = 3 + seed % 14, 3 + seed % 4
+    centers = np.random.default_rng(seed).dirichlet(np.ones(m), size=n)
+    loss = ((np.eye(m)[None] - centers[:, None]) ** 2).sum(axis=2)
+    rows = [[str(j) for j in range(m)], ["*"] * m, [str(j % 2) for j in range(m)]]
+    signals = [rows[(i % 3) * (seed % 2)] for i in range(n)]
+    return game_from_dict({"loss": loss.tolist(), "signals": signals})
+
+
+PIN_GAMES = {
+    **{entry.name: entry.game for entry in catalog()},
+    **{os.path.basename(path): resolve_game(path)[0]
+       for path in sorted(glob.glob(os.path.join(DATA, "*.json")))},
+    **{f"voronoi_s{seed}": voronoi_game(seed) for seed in range(20)},
+}
+
+
+def pairs_by_shape(game):
+    """Every ordered pair of distinct actions, grouped by the two actions' symbol counts."""
+    groups = {}
+    for i in range(game.n_actions):
+        for j in range(game.n_actions):
+            if i != j:
+                shape = (game.signal_matrix(i).n_symbols, game.signal_matrix(j).n_symbols)
+                groups.setdefault(shape, []).append((i, j))
+    return groups.values()
+
+
+@pytest.mark.parametrize("name", sorted(PIN_GAMES))
+def test_stacked_lstsq_and_residuals_match_per_pair_calls(name):
+    game = PIN_GAMES[name]
+    for pairs in pairs_by_shape(game):
+        stacked = np.array([game.stacked_signal_matrix(i, j) for i, j in pairs])
+        targets = np.array([game.loss[j] - game.loss[i] for i, j in pairs])
+        v = lstsq_stack(stacked.transpose(0, 2, 1), targets)
+        products = np.matmul(stacked.transpose(0, 2, 1), v[..., None])[..., 0]
+        for k, (i, j) in enumerate(pairs):
+            ref = np.linalg.lstsq(stacked[k].T, targets[k], rcond=None)[0]
+            assert np.array_equal(v[k], ref), (name, i, j)
+            assert np.array_equal(products[k], stacked[k].T @ ref), (name, i, j)
+
+
+@pytest.mark.parametrize("name", sorted(PIN_GAMES))
+def test_solved_observers_match_the_per_pair_solution(name):
+    """``solve_pairs``'s v, residual and verdict are those of one ``np.linalg.lstsq`` per pair."""
+    game = PIN_GAMES[name]
+    for pairs in pairs_by_shape(game):
+        for (i, j), ov in zip(pairs, solve_pairs(game, pairs)):
+            stacked = game.stacked_signal_matrix(i, j)
+            target = game.loss[j] - game.loss[i]
+            v = np.linalg.lstsq(stacked.T, target, rcond=None)[0]
+            residual = float(np.abs(stacked.T @ v - target).max())
+            assert (ov.i, ov.j, ov.split) == (i, j, game.signal_matrix(i).n_symbols)
+            assert ov.v.tobytes() == v.tobytes() and ov.residual.hex() == residual.hex()
+            assert ov.observable == (residual <= 1e-8 * (1.0 + float(np.abs(target).max())))
+
+
+@pytest.mark.parametrize("name", sorted(PIN_GAMES))
+def test_stacked_checkpoint_products_match_loss_at_counts(name):
+    """The regret pass's stacked ``loss @ c``, on cumulative outcome counts of long runs."""
+    loss = PIN_GAMES[name].loss
+    m = loss.shape[1]
+    rng = np.random.default_rng(m)
+    for horizon in (50, 1000, 64_000):
+        counts = np.cumsum(np.eye(m)[rng.integers(m, size=horizon)], axis=0)
+        stacked = np.matmul(loss, counts[:, :, None])[:, :, 0]
+        assert all(np.array_equal(row, loss @ c) for row, c in zip(stacked, counts)), horizon
