@@ -160,7 +160,7 @@ def learner_tables(game: Game, graph: NeighborhoodGraph,
         v = {j: per_pair[(i, j)].v.tolist() for j in nbrs if j != i}
         split = game.signal_matrix(i).n_symbols
         own = (0.0,) * split
-        top = tuple(zip(*(v[j][:split] if j != i else own for j in nbrs)))
+        top = tuple(zip(*[v[j][:split] if j != i else own for j in nbrs]))
         bottom = {j: (pos, tuple(v[j][split:])) for pos, j in enumerate(nbrs) if j != i}
         tables.append(LearnerTables(nbrs, top, bottom))
     return tables
@@ -171,7 +171,8 @@ def check_game(game: Game, graph: NeighborhoodGraph) -> ObservabilityReport:
 
     Each learner consumes its own orientation of a pair, so (i, j) and (j, i)
     are solved separately even though one is the block-swapped negation of
-    the other.  Pairs are solved in stacks, one per pair of symbol counts.
+    the other.  Pairs are solved in stacks, one per pair of symbol counts,
+    and the report carries every learner's tables, read from the result.
     """
     pairs = graph.neighbor_pairs()
     symbols = [game.signal_matrix(a).n_symbols for a in range(game.n_actions)]
