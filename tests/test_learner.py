@@ -5,10 +5,10 @@ import pytest
 from _mc import check_unbiased
 
 import pmsim.engine
+import pmsim.learner
 from pmsim import AdaptiveWorst, Engine, EngineConfig, analyze_geometry, catalog, check_game, \
     resolve_game
 from pmsim.games import load_game
-import pmsim.learner
 from pmsim.learner import (
     LearnerState,
     add_round,
