@@ -1,4 +1,4 @@
-"""Golden trajectory digests: the CSV and summary.json bytes of fixed runs.
+"""Golden digests: the CSV and summary.json bytes of fixed runs, and the learners' bits.
 
 Each case is one ``run_experiment`` call with every input fixed (game,
 adversary, horizons, seeds, eta, gamma, checkpoints).  Its digest is the
@@ -6,8 +6,15 @@ SHA-256 over the bytes of every CSV it writes, in ``csv_paths`` order, then
 of ``summary.json``.  A refactor that changes any draw, any summation order
 or any formatting of the output changes a digest.
 
+Those bytes see the learners' ``x`` and ``q`` only through the indices they
+sample, so a last-bit change in the learner can leave them unchanged.  Each
+learner-state case runs one :class:`~pmsim.Engine` built from the game,
+adversary, horizon and seed alone, and its digest is the SHA-256 over the
+``float.hex`` of every learner's ``x``, ``q`` and ``f``, in action order, then
+of the final ``p``, ``eta`` and ``gamma``.
+
 To regenerate after an intended output change, run
-``python tests/test_golden.py`` and paste the printed table.
+``python tests/test_golden.py`` and paste the two printed tables.
 """
 
 import hashlib
@@ -15,7 +22,8 @@ import os
 
 import pytest
 
-from pmsim import ExperimentConfig, run_experiment
+from pmsim import (Engine, EngineConfig, ExperimentConfig, make_adversary, resolve_game,
+                   run_experiment)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -104,6 +112,36 @@ DIGESTS = {
         "41bf107ed8670ed4cdf6fc3aa7675300b4c99e3a5e75471cc09a6fc20b6e7d99",
 }
 
+# (game, adversary, horizon, seed): the four observable catalog games and every
+# committed game file against the adaptive opponent, and N=16 against iid
+STATE_CASES = {
+    **{f"{game}-adaptive": (game, "adaptive", 300, 3)
+       for game in ("bandit_mp", "bandit_mp_random", "apple_tasting", "full_info_3x3",
+                    "bandit3.json", "noisy3.json", "noisy_voronoi_n8.json", "voronoi_n16.json")},
+    "voronoi_n16.json-iid": ("voronoi_n16.json", "iid", 400, 5),
+}
+
+STATE_DIGESTS = {
+    "bandit_mp-adaptive":
+        "8dedd54ef76b80c1e7e1c31cc0acd424a0b9c7f09b2c3fcb438aaa01cc67ead6",
+    "bandit_mp_random-adaptive":
+        "30afde768a065621671a406a8618b1124edae2afb969cdebb1d67cec9e9cd658",
+    "apple_tasting-adaptive":
+        "cb44ea7c3a85cf662aa47dbe7e76920e14e5497eb5080a1ce3918f719bdc1e82",
+    "full_info_3x3-adaptive":
+        "e463794a250ff3040a2a6f731d36d2fc13165e2eeece2f07d5707bb8a9ce4544",
+    "bandit3.json-adaptive":
+        "77b148c409475d2bf1708067fa335bd68c8c514eac962fe991d215bace3f768b",
+    "noisy3.json-adaptive":
+        "e7f8ec72f9a5f7dcb12dc08db03f9404c6cf9ece96ebdbb70c3e4eb5d3d54ca3",
+    "noisy_voronoi_n8.json-adaptive":
+        "785b936e4ca802a08251269463f0f7e7fbec78031823042ab46c9173d50fc1a5",
+    "voronoi_n16.json-adaptive":
+        "827658f1a581c471ba19a4999a3079a1c1319b2bf0c5a98102a7357f3cacd8c8",
+    "voronoi_n16.json-iid":
+        "11e6117193a7eaacf5d41c511b90052a8b5ff58ee96057b5647f526d7dc41811",
+}
+
 
 def run_digest(name: str, out_dir: str) -> str:
     result = run_experiment(ExperimentConfig(**CASES[name], out_dir=out_dir))
@@ -114,10 +152,30 @@ def run_digest(name: str, out_dir: str) -> str:
     return h.hexdigest()
 
 
+def state_digest(name: str) -> str:
+    game_name, adversary, horizon, seed = STATE_CASES[name]
+    game, _ = resolve_game(os.path.join(DATA, game_name) if game_name.endswith(".json")
+                           else game_name)
+    engine = Engine(game, make_adversary(adversary, game), horizon, EngineConfig(seed=seed))
+    engine.run()
+    h = hashlib.sha256()
+    for state in engine.learners:
+        for values in (state.x, state.q, state.f):
+            h.update(" ".join(float(v).hex() for v in values).encode())
+            h.update(b";")
+    h.update(" ".join(v.hex() for v in engine.p.tolist() + [engine.eta, engine.gamma]).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path, monkeypatch):
     monkeypatch.chdir(DATA)
     assert run_digest(name, str(tmp_path)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CASES))
+def test_learner_state_digest(name):
+    assert state_digest(name) == STATE_DIGESTS[name]
 
 
 if __name__ == "__main__":
@@ -127,3 +185,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
             print(f'    "{name}":\n        "{run_digest(name, os.path.join(tmp, name))}",')
+    print()
+    for name in STATE_CASES:
+        print(f'    "{name}":\n        "{state_digest(name)}",')
