@@ -23,8 +23,7 @@ game, name = resolve_game("bandit_mp_random")
 graph, _ = analyze_geometry(game)
 observers = check_game(game, graph)
 
-engine = Engine(game, AdaptiveWorst(), T, EngineConfig(seed=42),
-                graph=graph, observers=observers)
+engine = Engine(game, AdaptiveWorst(), T, EngineConfig(seed=42), observers=observers)
 print(f"{name}: eta={engine.eta:.5f}, gamma={engine.gamma:.5f}, v_bar={observers.v_bar}")
 
 transcript = engine.run()

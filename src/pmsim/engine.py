@@ -47,8 +47,8 @@ from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 from .adversaries import Adversary
 from .errors import FixedPointError, NotLocallyObservableError
 from .games import Game, draw_index
-from .geometry import NeighborhoodGraph, build_graph
-from .learner import LearnerState, add_round, invoke, make_learner
+from .geometry import build_graph
+from .learner import add_round, invoke, make_learner
 from .observability import ObservabilityReport, check_game
 
 FLOW_TOL = 1e-9
@@ -275,6 +275,10 @@ def sample_index(rng: np.random.Generator, pmf: list[float]) -> int:
 class Engine:
     """One game run: owns the learners, the transcript, and the random streams.
 
+    Its one set-up input is ``observers``, whose learner tables fix each
+    neighbor set; handed them it solves no LP, else it builds them behind
+    :func:`build_graph`'s strict gate.  A game not locally observable is refused.
+
     Draw order within a round is fixed: neighborhood k, then action I, then
     signal randomness (random-signal games only).  The adversary draws from
     its own stream, so its moves are reproducible independently of learner
@@ -283,19 +287,15 @@ class Engine:
 
     def __init__(self, game: Game, adversary: Adversary, horizon: int,
                  config: EngineConfig | None = None,
-                 graph: NeighborhoodGraph | None = None,
                  observers: ObservabilityReport | None = None):
         config = config or EngineConfig()
-        if graph is None:
-            graph, _ = build_graph(game)
         if observers is None:
-            observers = check_game(game, graph)
+            observers = check_game(game, build_graph(game)[0])
         if not observers.locally_observable:
             raise NotLocallyObservableError(
                 f"pairs without observers: {observers.unobservable_pairs()}"
             )
         self.game = game
-        self.graph = graph
         self.observers = observers
         self.horizon = horizon
         self.eta = config.eta if config.eta != "auto" else auto_eta(
@@ -310,10 +310,7 @@ class Engine:
                        if adversary.needs_rng else None)
 
         n = game.n_actions
-        self.learners: list[LearnerState] = [
-            make_learner(i, graph.neighbors[i], n, self.eta, self.gamma, observers)
-            for i in range(n)
-        ]
+        self.learners = [make_learner(i, n, self.eta, self.gamma, observers) for i in range(n)]
         self.Q = np.column_stack([lr.q for lr in self.learners])
         check_columns(self.Q)  # from here on, each column is checked as it is written
         self.residual = np.empty(n)  # |Qp - p| of the current round, from fixed_point
@@ -370,7 +367,6 @@ class Engine:
 
 def run(game: Game, adversary: Adversary, horizon: int,
         config: EngineConfig | None = None, *,
-        graph: NeighborhoodGraph | None = None,
         observers: ObservabilityReport | None = None) -> Transcript:
-    """Run a full game and return its transcript."""
-    return Engine(game, adversary, horizon, config, graph=graph, observers=observers).run()
+    """Run a full game and return its transcript (set-up as in :class:`Engine`)."""
+    return Engine(game, adversary, horizon, config, observers=observers).run()

@@ -282,11 +282,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     final_int = {T: [] for T in horizons}
     for T in horizons:
         for seed in seeds:
-            engine = Engine(
-                game, make_adversary(config.adversary, game), T,
-                EngineConfig(eta=config.eta, gamma=config.gamma, seed=seed),
-                graph=graph, observers=observers,
-            )
+            engine = Engine(game, make_adversary(config.adversary, game), T,
+                            EngineConfig(eta=config.eta, gamma=config.gamma, seed=seed),
+                            observers=observers)
             transcript = engine.run()
             report = regret_report(transcript, game.loss, graph, observers.v_bar,
                                    config.checkpoints)

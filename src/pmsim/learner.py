@@ -29,8 +29,9 @@ from .observability import LearnerTables, ObservabilityReport
 
 @dataclass
 class LearnerState:
+    """Action ``action``'s learner, playing over its neighbor set ``tables.neighbors``."""
+
     action: int
-    neighbors: np.ndarray  # sorted, includes the owner
     x: list[float]         # exponential-weights iterate over neighbors
     q: list[float]         # mixed distribution over all N actions
     eta: float
@@ -40,20 +41,16 @@ class LearnerState:
     buffer: list[int] = field(default_factory=list)  # rounds summed into f since then
 
 
-def make_learner(action: int, neighbors, n_actions: int, eta: float, gamma: float,
+def make_learner(action: int, n_actions: int, eta: float, gamma: float,
                  observers: ObservabilityReport) -> LearnerState:
-    """Fresh learner with the uniform mixed distribution over its neighbor set."""
+    """Fresh learner, uniform over the neighbor set of its tables in ``observers``."""
     tables = observers.learner_tables[action]
-    neighbors = tuple(sorted(neighbors))
-    if neighbors != tables.neighbors:
-        raise ValueError(f"learner {action}: neighbors {list(neighbors)} differ from "
-                         f"the observers' {list(tables.neighbors)}")
-    n = len(neighbors)
+    n = len(tables.neighbors)
     q = [0.0] * n_actions
-    for j in neighbors:
+    for j in tables.neighbors:
         q[j] = 1.0 / n
-    return LearnerState(action=action, neighbors=np.array(neighbors), x=[1.0 / n] * n, q=q,
-                        eta=eta, gamma=gamma, tables=tables, f=[0.0] * n)
+    return LearnerState(action=action, x=[1.0 / n] * n, q=q, eta=eta, gamma=gamma,
+                        tables=tables, f=[0.0] * n)
 
 
 def estimate_b(state: LearnerState, k: int, played: int, symbol: int, q: Sequence[float],

@@ -59,7 +59,8 @@ class LearnerTables(NamedTuple):
 
     Every signal is a unit vector, so observer (i, j) applied to one is a
     single entry of v; these are those entries.  Read-only: every learner of
-    action i made from the same report shares them.
+    action i made from the same report shares them, and reads its neighbor set,
+    which orders its ``x`` and ``f``, from ``neighbors`` alone.
     """
 
     neighbors: tuple[int, ...]  # sorted, includes the owner

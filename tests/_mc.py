@@ -13,11 +13,10 @@ from pmsim.engine import fixed_point
 from pmsim.learner import estimate_b, make_learner
 
 
-def frozen_setup(game, graph, observers, qs):
+def frozen_setup(game, observers, qs):
     """Learner states pinned to the given per-action distributions."""
     N = game.n_actions
-    states = [make_learner(i, graph.neighbors[i], N, eta=0.1, gamma=0.0, observers=observers)
-              for i in range(N)]
+    states = [make_learner(i, N, eta=0.1, gamma=0.0, observers=observers) for i in range(N)]
     qs = [np.asarray(q, dtype=float) for q in qs]
     for st, q in zip(states, qs):
         st.q = q
@@ -70,7 +69,7 @@ def expected_b(game, p, i, j, outcome):
 
 def check_unbiased(game, graph, observers, qs, n_rounds, seed, tol_se=4.0):
     """Assert every neighbor pair's empirical mean sits in the 4-SE band."""
-    states, qs, p = frozen_setup(game, graph, observers, qs)
+    states, qs, p = frozen_setup(game, observers, qs)
     pairs = graph.neighbor_pairs()
     worst = 0.0
     for outcome in range(game.n_outcomes):

@@ -68,7 +68,7 @@ def test_criterion_1_flow_condition():
         game, graph, observers = _setup(name)
         for adv_spec in ("uniform", "adaptive"):
             engine = Engine(game, make_adversary(adv_spec, game), 400,
-                            EngineConfig(seed=17), graph=graph, observers=observers)
+                            EngineConfig(seed=17), observers=observers)
             engine.run()
             worst_l1 = max(worst_l1, engine.max_flow_residual_l1)
             worst_linf = max(worst_linf, engine.max_flow_residual_linf)

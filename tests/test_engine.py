@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pmsim.engine
+import pmsim.geometry
 from pmsim import (
     Engine,
     EngineConfig,
@@ -14,6 +15,8 @@ from pmsim import (
     FixedSequence,
     IID,
     NotLocallyObservableError,
+    build_graph,
+    check_game,
     fixed_point,
     make_adversary,
     resolve_game,
@@ -120,16 +123,35 @@ def test_sample_index_matches_the_reference_loop():
 def test_run_gates_unobservable_games(label_efficient):
     with pytest.raises(Exception) as exc_info:
         run(label_efficient, IID([0.5, 0.5]), 10)
-    # the dominated action trips first under the strict gate; an explicitly
-    # supplied lenient graph surfaces the observability failure instead
+    # the dominated action trips first under the strict gate; a report built
+    # without that gate surfaces the observability failure instead
     assert exc_info.type.__name__ in ("DominatedActionError", "NotLocallyObservableError")
 
-    from pmsim import analyze_geometry, check_game
+    from pmsim import analyze_geometry
     graph, _ = analyze_geometry(label_efficient)
     observers = check_game(label_efficient, graph)
     with pytest.raises(NotLocallyObservableError):
-        Engine(label_efficient, IID([0.5, 0.5]), 10,
-               graph=graph, observers=observers)
+        Engine(label_efficient, IID([0.5, 0.5]), 10, observers=observers)
+
+
+def test_handed_observers_solve_no_lp(monkeypatch):
+    """``Engine`` and ``run`` handed a report neither build a graph nor solve an LP."""
+    game, _ = resolve_game(os.path.join(DATA, "voronoi_n16.json"))
+    observers = check_game(game, build_graph(game)[0])
+    built = run(game, make_adversary("adaptive", game), 50, EngineConfig(seed=2))
+
+    def refuse(*args):
+        raise AssertionError("the set-up was solved again")
+
+    monkeypatch.setattr(pmsim.engine, "build_graph", refuse)
+    monkeypatch.setattr(pmsim.geometry, "solve_lp", refuse)
+    handed = run(game, make_adversary("adaptive", game), 50, EngineConfig(seed=2),
+                 observers=observers)
+    engine = Engine(game, make_adversary("adaptive", game), 50, EngineConfig(seed=2),
+                    observers=observers)
+    assert engine.observers is observers
+    for tr in (handed, engine.run()):
+        assert all(np.array_equal(x, y) for x, y in zip(tr, built))
 
 
 def test_zero_horizon_gives_empty_transcript(bandit_mp):
@@ -163,11 +185,11 @@ def test_played_action_stays_in_sampled_neighborhood(three_action_loss):
     from pmsim import Game
     game = Game.deterministic(three_action_loss,
                               [["0", "1"]] * 3)  # full information, 3 actions
-    engine = Engine(game, IID([0.5, 0.5]), 500, EngineConfig(seed=5))
-    tr = engine.run()
+    graph, _ = build_graph(game)
+    tr = Engine(game, IID([0.5, 0.5]), 500, EngineConfig(seed=5)).run()
     for k, a in zip(tr.k.tolist(), tr.action.tolist()):
-        assert engine.graph.are_neighbors(k, a)
-        assert a in engine.graph.neighbors[k]
+        assert graph.are_neighbors(k, a)
+        assert a in graph.neighbors[k]
 
 
 class CyclingOutcomes:

@@ -36,7 +36,7 @@ def apple_setup(apple_tasting):
 
 def _learners(graph, obs, eta, gamma):
     n = len(graph.neighbors)
-    return [make_learner(i, graph.neighbors[i], n, eta, gamma, obs) for i in range(n)]
+    return [make_learner(i, n, eta, gamma, obs) for i in range(n)]
 
 
 def _symbol(game, played, outcome):
@@ -124,7 +124,7 @@ def test_running_costs_equal_summed_estimates(name, monkeypatch):
     checked = []
 
     def checking_invoke(state, observers):
-        for pos, j in enumerate(state.neighbors.tolist()):
+        for pos, j in enumerate(state.tables.neighbors):
             expected = sum(estimate_b(state, int(tr.k[t - 1]), int(tr.action[t - 1]),
                                       int(tr.symbol[t - 1]), state.q, observers, j)
                            for t in state.buffer)
@@ -147,15 +147,15 @@ def test_invoke_keeps_distribution_invariants_on_random_costs():
         eta = float(10.0 ** rng.uniform(-4, 1)) if trial % 10 else 1e308
         gamma = float(rng.choice([0.0, rng.uniform(0, 0.5), 1.0]))
         i = int(rng.integers(16))
-        state = make_learner(i, graph.neighbors[i], 16, eta, gamma, obs)
-        n = len(state.neighbors)
+        state = make_learner(i, 16, eta, gamma, obs)
+        n = len(state.tables.neighbors)
         for _ in range(5):
             state.f[:] = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n)
             with np.errstate(over="ignore", invalid="ignore"):
                 invoke(state, obs)
             assert abs(np.asarray(state.x).sum() - 1.0) <= 1e-12
             assert abs(np.asarray(state.q).sum() - 1.0) <= 1e-12
-            assert np.asarray(state.q)[state.neighbors].min() >= gamma / n - 1e-12
+            assert np.asarray(state.q)[list(state.tables.neighbors)].min() >= gamma / n - 1e-12
             assert not np.asarray(state.f).any() and not state.buffer
 
 
@@ -203,7 +203,7 @@ def test_invoke_matches_exp_weights_step_and_mixing(n, monkeypatch):
         gamma = float(rng.choice([0.0, rng.uniform(0, 0.5), 1.0]))
         nbrs = np.sort(rng.choice(n_actions, size=n, replace=False))
         q = rng.random(n_actions)
-        state = LearnerState(action=int(nbrs[0]), neighbors=nbrs, x=x.tolist(), q=q.tolist(),
+        state = LearnerState(action=int(nbrs[0]), x=x.tolist(), q=q.tolist(),
                              eta=eta, gamma=gamma, f=f.tolist(),
                              tables=LearnerTables(tuple(nbrs.tolist()), (), {}))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -288,9 +288,10 @@ def test_invoke_restores_distribution_invariants(bandit_setup):
             invoke(state, obs)
             assert abs(np.asarray(state.q).sum() - 1.0) <= 1e-12
             assert abs(np.asarray(state.x).sum() - 1.0) <= 1e-12
-            assert np.all(np.asarray(state.q)[state.neighbors] >= 0.3 / 2 - 1e-15)
+            assert np.all(np.asarray(state.q)[list(state.tables.neighbors)] >= 0.3 / 2 - 1e-15)
             mixed = (1 - 0.3) * np.asarray(state.x) + 0.3 / 2
-            np.testing.assert_array_equal(np.asarray(state.q)[state.neighbors], mixed)
+            np.testing.assert_array_equal(np.asarray(state.q)[list(state.tables.neighbors)],
+                                          mixed)
 
 
 def test_exp_weights_overflow_takes_the_eta_limit():
