@@ -22,7 +22,7 @@ from pmsim import (
     resolve_game,
     run,
 )
-from pmsim.engine import FLOW_TOL, UNIFORM_BLOCK, sample_index
+from pmsim.engine import FLOW_TOL, UNIFORM_BLOCK, flow_system, sample_index
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -268,6 +268,92 @@ def test_fixed_point_on_random_column_stochastic_matrices(n, seed, zeros):
     assert np.all(p >= 0.0)
     assert abs(p.sum() - 1.0) <= 1e-12
     assert np.abs(Q @ p - p).sum() <= 1e-9
+
+
+def _fixed_point_ufunc(Q, residual):
+    """``fixed_point(Q, residual)`` with every check, sum and l1 a numpy ufunc reduction.
+
+    The oracle for the engine's form, which must give the same p, l1 and
+    buffer, bit for bit.
+    """
+    n = Q.shape[0]
+    if n == 2:
+        a, b = max(Q.item(0, 1), 0.0), max(Q.item(1, 0), 0.0)
+        total = a + b
+        if total > 1e-12:
+            p = np.array([a / total, b / total])
+            return p, float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
+    else:
+        p = pmsim.engine._lapack_solve(flow_system(Q), np.eye(n)[-1], signature="dd->d")
+        if np.minimum.reduce(p) >= -1e-12:
+            p = np.maximum(p, 0.0)
+            p /= np.add.reduce(p)
+            l1 = float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
+            if l1 <= 1e-12:
+                return p, l1
+    p = pmsim.engine._limit_from_uniform(Q)
+    l1 = float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
+    assert l1 <= FLOW_TOL
+    return p, l1
+
+
+def _bits(values):
+    return [float.hex(v) for v in np.asarray(values).tolist()]
+
+
+def test_fixed_point_matches_the_ufunc_reductions(monkeypatch):
+    """Same p (signs of zero included), l1 and residual buffer as :func:`_fixed_point_ufunc`.
+
+    Seeded sparse column-stochastic matrices for N = 2..16 reach the clamp of
+    a solution whose minimum is in [-1e-12, 0] and the closed-class fallback;
+    a patched solve also returns partly-NaN vectors, whose NaN Python's
+    ``min`` may skip, and vectors with a ``-0.0`` entry.
+    """
+    real_solve = pmsim.engine._lapack_solve
+    solved_minima, fallbacks = [], []
+    real_limit = pmsim.engine._limit_from_uniform
+
+    def counted_limit(Q):
+        if pmsim.engine._lapack_solve is real_solve:
+            fallbacks.append(Q.shape[0])
+        return real_limit(Q)
+
+    def faulty_solve(entry, value):
+        """The solve, with ``value`` at ``entry`` (None: at its entry nearest zero)."""
+        def solve(A, rhs, signature):
+            p = real_solve(A, rhs, signature=signature)
+            p[np.argmin(np.abs(p)) if entry is None else entry % len(p)] = value
+            return p
+        return solve
+
+    def check(Q):
+        buf, ref_buf = np.full(len(Q), 7.0), np.full(len(Q), 7.0)
+        with np.errstate(invalid="ignore"):
+            p, l1 = fixed_point(Q, buf)
+            ref_p, ref_l1 = _fixed_point_ufunc(Q, ref_buf)
+        assert _bits(p) == _bits(ref_p)
+        assert l1.hex() == ref_l1.hex()
+        assert _bits(buf) == _bits(ref_buf)
+
+    monkeypatch.setattr(pmsim.engine, "_limit_from_uniform", counted_limit)
+    for n in range(2, 17):
+        for seed in range(20):
+            rng = np.random.default_rng([n, seed])
+            Q = rng.random((n, n)) * (rng.random((n, n)) >= rng.uniform(0.0, 0.9))
+            Q[rng.integers(n, size=n), np.arange(n)] += 1e-3  # no all-zero column
+            Q /= Q.sum(axis=0)
+            if n > 2:
+                with np.errstate(invalid="ignore"):
+                    solved_minima.append(float(np.minimum.reduce(
+                        real_solve(flow_system(Q), np.eye(n)[-1], signature="dd->d"))))
+            check(Q)
+            if n > 2 and seed < 4:
+                for entry, value in ((seed, float("nan")), (None, -0.0)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(pmsim.engine, "_lapack_solve", faulty_solve(entry, value))
+                        check(Q)
+    assert any(-1e-12 <= lo <= 0.0 for lo in solved_minima)
+    assert fallbacks
 
 
 @pytest.mark.parametrize("name", ["voronoi_n16.json", "bandit3.json", "full_info_3x3"])
