@@ -25,12 +25,15 @@ Elementwise arithmetic runs on Python floats, which round each sum, product
 and quotient as numpy does: the learners' ``x``, ``f`` and ``q`` are lists,
 and the engine samples I from ``q`` and writes it into Q as one.  The weight
 total follows numpy's pinned reduction order
-(:func:`~pmsim.learner.weight_total`).  ``np.exp``, the ``np.add.reduce`` of
-``p``, ``Q.dot`` and ``solve1`` stay on numpy, as do the set-up's ``lstsq``
-solves: ``math.exp`` and a reordered sum can differ in the last bit.  Checks
-that only accept or refuse, such as :func:`check_column`, use Python floats
-too.  Uniforms come a block at a time through :class:`BlockUniforms`, which
-returns the values and the order of one ``random()`` call per draw.
+(:func:`~pmsim.learner.weight_total`), and so do the flow solve's sum of
+``p`` and l1 of the residual.  ``np.exp``, ``solve1``, ``Q.dot`` and the
+flow solve's ``np.abs`` and ``np.maximum`` stay on numpy, as do the set-up's
+``lstsq`` solves: ``math.exp`` and a reordered sum can differ in the last
+bit, and Python's ``max`` from ``np.maximum`` in the sign of a zero.  Checks
+that only accept or refuse, such as :func:`check_column` and the gate on
+``min(p)``, use Python floats too.  Uniforms come a block at a time through
+:class:`BlockUniforms`, which returns the values and the order of one
+``random()`` call per draw.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .adversaries import Adversary
 from .errors import FixedPointError, NotLocallyObservableError
 from .games import Game, draw_index
 from .geometry import build_graph
-from .learner import add_round, invoke, make_learner
+from .learner import add_round, invoke, make_learner, weight_total
 from .observability import ObservabilityReport, check_game
 
 FLOW_TOL = 1e-9
@@ -165,6 +168,15 @@ def fixed_point(Q, residual=None):
     tie-break between fixed points.  Two actions skip the solve: the balance
     equation gives p.
 
+    The checks and sums around the solve make no numpy reduction.  The gate
+    is Python's ``min`` of p; ``np.maximum`` clamps p only when that minimum
+    is not positive, as it is the identity on a positive p (a ``-0.0``
+    minimum still takes numpy's clamp and its sign of zero); p's normalising
+    sum and the residual's l1 are :func:`~pmsim.learner.weight_total`.  ``min`` skips a NaN that is not
+    p's first entry, so a partly-NaN solve can pass the gate, but its sum
+    is NaN, so l1 is NaN and fails the acceptance test: the fallback then
+    gives the p, l1 and buffer that a NaN-aware gate would have.
+
     Called with ``Q`` alone, checks every column, solves under its own
     ``np.errstate``, so a singular system stays silent, and returns p.  The
     engine, which checks each column as it writes it, passes a ``residual``
@@ -187,13 +199,21 @@ def fixed_point(Q, residual=None):
         total = a + b
         if total > _DIRECT_TOL:
             p = np.array([a / total, b / total])
-            return p, float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
+            np.abs(Q.dot(p) - p, out=residual)
+            return p, weight_total(residual.tolist())
     else:
         p = _lapack_solve(flow_system(Q), _identity(n)[-1], signature="dd->d")  # NaN if singular
-        if np.minimum.reduce(p) >= -1e-12:  # NaN fails
-            p = np.maximum(p, 0.0)
-            p /= np.add.reduce(p)
-            l1 = float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
+        pl = p.tolist()
+        lo = min(pl)
+        # min skips a NaN after the first entry; such a p passes this gate, but
+        # its sum, so every entry and l1, is NaN, and l1 fails the test below
+        if lo >= -1e-12:
+            if not lo > 0.0:  # the clamp is the identity on a positive p
+                p = np.maximum(p, 0.0)
+                pl = p.tolist()
+            p /= weight_total(pl)
+            np.abs(Q.dot(p) - p, out=residual)
+            l1 = weight_total(residual.tolist())
             if l1 <= _DIRECT_TOL:
                 return p, l1
 
@@ -334,7 +354,7 @@ class Engine:
             self.max_flow_residual_l1 = l1
         if l1 > self.max_flow_residual_linf:  # else linf <= l1 cannot raise its maximum
             self.max_flow_residual_linf = max(self.max_flow_residual_linf,
-                                              float(np.maximum.reduce(self.residual)))
+                                              max(self.residual.tolist()))
         if l1 > FLOW_TOL:
             raise FixedPointError(f"flow condition violated at round {self.t}: {l1:.3e}")
         self.p = p

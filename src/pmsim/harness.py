@@ -70,7 +70,9 @@ def _list_of(check, x) -> bool:
 
 
 def _shorthand_doc(spec: str) -> dict:
-    kind, _, arg = spec.partition(":")
+    kind, colon, arg = spec.partition(":")
+    if colon and not arg:
+        raise ValueError("empty argument after ':'")
     if kind == "uniform":
         if arg:
             raise ValueError("kind 'uniform' takes no argument")

@@ -99,6 +99,9 @@ def add_round(learners: list[LearnerState], t: int, k: int, played: int, symbol:
 def weight_total(w: list[float]) -> float:
     """``np.add.reduce`` of the non-negative floats ``w`` as a float64 vector, bit for bit.
 
+    Sums a learner's weights, and in :func:`~pmsim.engine.fixed_point` the
+    clamped ``p`` and the flow residual ``|Qp - p|``, both non-negative too.
+
     Follows numpy's pairwise summation: below 8 entries, one running sum from
     0.0; up to its block of 128, eight running sums over the entries taken
     eight at a time, combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``,

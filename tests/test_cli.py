@@ -161,6 +161,9 @@ def test_usage_errors(tmp_path, capsys):
     (["--adversary", "adaptive:x"], "adversary"),
     (["--adversary", "nope"], "adversary"),
     (["--adversary", "uniform:xyz"], "adversary"),
+    (["--adversary", "uniform:"], "adversary"),
+    (["--adversary", "iid:"], "adversary"),
+    (["--adversary", "adaptive:"], "adversary"),
 ])
 def test_run_rejects_bad_input(tmp_path, capsys, flags, field):
     code, out, err = run_cli(capsys, "run", "--game", "bandit_mp", "--T", "10",
