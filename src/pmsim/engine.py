@@ -172,10 +172,11 @@ def fixed_point(Q, residual=None):
     is Python's ``min`` of p; ``np.maximum`` clamps p only when that minimum
     is not positive, as it is the identity on a positive p (a ``-0.0``
     minimum still takes numpy's clamp and its sign of zero); p's normalising
-    sum and the residual's l1 are :func:`~pmsim.learner.weight_total`.  ``min`` skips a NaN that is not
-    p's first entry, so a partly-NaN solve can pass the gate, but its sum
-    is NaN, so l1 is NaN and fails the acceptance test: the fallback then
-    gives the p, l1 and buffer that a NaN-aware gate would have.
+    sum and the residual's l1 are :func:`~pmsim.learner.weight_total`.
+    ``min`` skips a NaN that is not p's first entry, so a partly-NaN solve
+    can pass the gate, but its sum is NaN, so l1 is NaN and fails the
+    acceptance test: the fallback then gives the p, l1 and buffer that a
+    NaN-aware gate would have.
 
     Called with ``Q`` alone, checks every column, solves under its own
     ``np.errstate``, so a singular system stays silent, and returns p.  The
