@@ -31,9 +31,9 @@ print(f"flow residual never exceeded {engine.max_flow_residual_l1:.2e} (l1)")
 
 print("\nfirst rounds (k = sampled neighborhood, I = played action):")
 for t in range(1, 6):  # the transcript is columnar: round t is row t - 1
-    print(f"  t={t}: k={transcript.k[t - 1]} I={transcript.action[t - 1]} "
-          f"j={transcript.outcome[t - 1]} symbol={transcript.symbol[t - 1]} "
-          f"loss={transcript.loss[t - 1]}")
+    a, j = transcript.action[t - 1], transcript.outcome[t - 1]
+    print(f"  t={t}: k={transcript.k[t - 1]} I={a} j={j} "
+          f"symbol={transcript.symbol[t - 1]} loss={game.loss[a, j]}")
 
 checkpoints = [T // 16, T // 4, T]
 report = regret_report(transcript, game.loss, graph, observers.v_bar, checkpoints)

@@ -50,9 +50,8 @@ from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 from .adversaries import Adversary
 from .errors import FixedPointError, NotLocallyObservableError
 from .games import Game, draw_index
-from .geometry import build_graph
 from .learner import add_round, invoke, make_learner, weight_total
-from .observability import ObservabilityReport, check_game
+from .observability import ObservabilityReport
 
 FLOW_TOL = 1e-9
 _DIRECT_TOL = 1e-12
@@ -105,16 +104,16 @@ class EngineConfig:
 
 
 class Transcript(NamedTuple):
-    """A run's rounds as columns: round t is row t - 1 of every array.
+    """A run's decisions as columns: round t is row t - 1 of every array.
 
-    The engine allocates all T rows up front; rows past its current round are zero.
+    The engine allocates all T rows up front; rows past its current round are
+    zero.  A round's loss is not recorded: it is ``game.loss[action, outcome]``.
     """
 
     k: np.ndarray        # sampled neighborhood
     action: np.ndarray   # played action I_t
     outcome: np.ndarray  # adversary move j_t
     symbol: np.ndarray   # observed symbol index within the played action's alphabet
-    loss: np.ndarray
 
 
 def check_column(q: list[float], k: int) -> None:
@@ -296,9 +295,10 @@ def sample_index(rng: np.random.Generator, pmf: list[float]) -> int:
 class Engine:
     """One game run: owns the learners, the transcript, and the random streams.
 
-    Its one set-up input is ``observers``, whose learner tables fix each
-    neighbor set; handed them it solves no LP, else it builds them behind
-    :func:`build_graph`'s strict gate.  A game not locally observable is refused.
+    Its one set-up input is ``observers``, a report built behind the set-up's
+    gates (as :func:`~pmsim.harness.run_experiment` builds it), whose learner
+    tables fix each neighbor set; the engine solves no LP.  A report that is
+    not locally observable is refused.
 
     Draw order within a round is fixed: neighborhood k, then action I, then
     signal randomness (random-signal games only).  The adversary draws from
@@ -307,11 +307,8 @@ class Engine:
     """
 
     def __init__(self, game: Game, adversary: Adversary, horizon: int,
-                 config: EngineConfig | None = None,
-                 observers: ObservabilityReport | None = None):
+                 config: EngineConfig | None = None, *, observers: ObservabilityReport):
         config = config or EngineConfig()
-        if observers is None:
-            observers = check_game(game, build_graph(game)[0])
         if not observers.locally_observable:
             raise NotLocallyObservableError(
                 f"pairs without observers: {observers.unobservable_pairs()}"
@@ -336,8 +333,7 @@ class Engine:
         check_columns(self.Q)  # from here on, each column is checked as it is written
         self.residual = np.empty(n)  # |Qp - p| of the current round, from fixed_point
         self.t = 0
-        self.transcript = Transcript(*np.zeros((4, horizon), dtype=np.intp),
-                                     loss=np.zeros(horizon))
+        self.transcript = Transcript(*np.zeros((4, horizon), dtype=np.intp))
         self.max_flow_residual_l1 = 0.0
         self.max_flow_residual_linf = 0.0
 
@@ -367,8 +363,7 @@ class Engine:
         symbol = self.game.observe(a, j, self.rng)
 
         row = self.t - 1
-        tr.k[row], tr.action[row], tr.outcome[row] = k, a, j
-        tr.symbol[row], tr.loss[row] = symbol, self.game.loss[a, j]
+        tr.k[row], tr.action[row], tr.outcome[row], tr.symbol[row] = k, a, j, symbol
 
         add_round(self.learners, self.t, k, a, symbol)
         q = invoke(self.learners[k], self.observers).q
@@ -387,7 +382,6 @@ class Engine:
 
 
 def run(game: Game, adversary: Adversary, horizon: int,
-        config: EngineConfig | None = None, *,
-        observers: ObservabilityReport | None = None) -> Transcript:
-    """Run a full game and return its transcript (set-up as in :class:`Engine`)."""
+        config: EngineConfig | None = None, *, observers: ObservabilityReport) -> Transcript:
+    """Run a full game on a gated report and return its transcript (see :class:`Engine`)."""
     return Engine(game, adversary, horizon, config, observers=observers).run()

@@ -234,12 +234,12 @@ class ExperimentResult:
     csv_paths: list[str]
 
 
-def _write_run_csv(path: str, transcript, report: RegretReport) -> None:
-    """Write one run's rows at the report's checkpoint rounds."""
+def _write_run_csv(path: str, transcript, loss: np.ndarray, report: RegretReport) -> None:
+    """Write one run's rows at the report's checkpoint rounds; ``loss`` is the game's matrix."""
     rows = np.asarray(report.checkpoints, dtype=np.intp) - 1
-    columns = [report.checkpoints]
-    columns += [col[rows].tolist() for col in (transcript.k, transcript.action,
-                                              transcript.outcome, transcript.loss)]
+    action, outcome = transcript.action[rows], transcript.outcome[rows]
+    columns = [report.checkpoints, transcript.k[rows].tolist(), action.tolist(),
+               outcome.tolist(), loss[action, outcome].tolist()]
     columns += [report.curves[name] for name in ("cum_loss", "external", "internal",
                                                  "local_internal")]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -292,7 +292,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                    config.checkpoints)
             os.makedirs(config.out_dir, exist_ok=True)  # not before: a refused run makes none
             path = os.path.join(config.out_dir, f"run_T{T}_seed{seed}.csv")
-            _write_run_csv(path, transcript, report)
+            _write_run_csv(path, transcript, game.loss, report)
             final_int[T].append(report.internal)
             csv_paths.append(path)
 

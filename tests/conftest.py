@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from pmsim import harness
+from pmsim import build_graph, check_game, harness
+
+
+def gated_report(game):
+    """The observability report of ``game`` behind the strict gate, as an engine takes it."""
+    return check_game(game, build_graph(game)[0])
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import gated_report
 
 from pmsim import AdaptiveWorst, EngineConfig, FixedSequence, Game, IID, load_game, run
 
@@ -52,9 +53,10 @@ def test_adaptive_worst_window_forgets(bandit_mp):
 
 
 def test_iid_outcomes_independent_of_learner_parameters(bandit_mp):
-    runs = {}
+    runs, observers = {}, gated_report(bandit_mp)
     for gamma in (0.0, 0.25):
-        tr = run(bandit_mp, IID([0.3, 0.7]), 400, EngineConfig(gamma=gamma, seed=9))
+        tr = run(bandit_mp, IID([0.3, 0.7]), 400, EngineConfig(gamma=gamma, seed=9),
+                 observers=observers)
         runs[gamma] = tr.outcome.tolist()
     assert runs[0.0] == runs[0.25]
 

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import gated_report
 from hypothesis import example, given, settings, strategies as st
 
 import pmsim.engine
@@ -15,6 +16,7 @@ from pmsim import (
     FixedSequence,
     IID,
     NotLocallyObservableError,
+    analyze_geometry,
     build_graph,
     check_game,
     fixed_point,
@@ -120,30 +122,26 @@ def test_sample_index_matches_the_reference_loop():
         assert sample_index(rng, pmf) == reference_sample_index(ref_rng, pmf)
 
 
-def test_run_gates_unobservable_games(label_efficient):
-    with pytest.raises(Exception) as exc_info:
-        run(label_efficient, IID([0.5, 0.5]), 10)
-    # the dominated action trips first under the strict gate; a report built
-    # without that gate surfaces the observability failure instead
-    assert exc_info.type.__name__ in ("DominatedActionError", "NotLocallyObservableError")
-
-    from pmsim import analyze_geometry
+def test_engine_refuses_an_ungated_unobservable_report(label_efficient):
+    """A report built without the gate, of a game that is not locally observable."""
     graph, _ = analyze_geometry(label_efficient)
     observers = check_game(label_efficient, graph)
     with pytest.raises(NotLocallyObservableError):
         Engine(label_efficient, IID([0.5, 0.5]), 10, observers=observers)
+    with pytest.raises(NotLocallyObservableError):
+        run(label_efficient, IID([0.5, 0.5]), 10, observers=observers)
 
 
 def test_handed_observers_solve_no_lp(monkeypatch):
-    """``Engine`` and ``run`` handed a report neither build a graph nor solve an LP."""
+    """``Engine`` and ``run`` solve no LP: their report is their whole set-up."""
     game, _ = resolve_game(os.path.join(DATA, "voronoi_n16.json"))
-    observers = check_game(game, build_graph(game)[0])
-    built = run(game, make_adversary("adaptive", game), 50, EngineConfig(seed=2))
+    observers = gated_report(game)
+    built = run(game, make_adversary("adaptive", game), 50, EngineConfig(seed=2),
+                observers=gated_report(game))
 
     def refuse(*args):
         raise AssertionError("the set-up was solved again")
 
-    monkeypatch.setattr(pmsim.engine, "build_graph", refuse)
     monkeypatch.setattr(pmsim.geometry, "solve_lp", refuse)
     handed = run(game, make_adversary("adaptive", game), 50, EngineConfig(seed=2),
                  observers=observers)
@@ -155,29 +153,32 @@ def test_handed_observers_solve_no_lp(monkeypatch):
 
 
 def test_zero_horizon_gives_empty_transcript(bandit_mp):
-    tr = run(bandit_mp, IID([0.5, 0.5]), 0, EngineConfig(seed=1))
+    tr = run(bandit_mp, IID([0.5, 0.5]), 0, EngineConfig(seed=1),
+             observers=gated_report(bandit_mp))
     assert all(len(column) == 0 for column in tr)
 
 
 def test_short_run_shape_and_losses(bandit_mp):
-    tr = run(bandit_mp, IID([0.5, 0.5]), 10, EngineConfig(seed=7))
-    assert [len(column) for column in tr] == [10] * 5
-    assert set(tr.loss.tolist()) <= {0.0, 1.0}
-    assert np.array_equal(tr.loss, bandit_mp.loss[tr.action, tr.outcome])
+    tr = run(bandit_mp, IID([0.5, 0.5]), 10, EngineConfig(seed=7),
+             observers=gated_report(bandit_mp))
+    assert tr._fields == ("k", "action", "outcome", "symbol")
+    assert [len(column) for column in tr] == [10] * 4
+    assert set(bandit_mp.loss[tr.action, tr.outcome].tolist()) <= {0.0, 1.0}
 
 
 def test_first_round_is_symmetric(bandit_mp):
-    engine = Engine(bandit_mp, IID([0.5, 0.5]), 1, EngineConfig(seed=0))
+    engine = Engine(bandit_mp, IID([0.5, 0.5]), 1, EngineConfig(seed=0),
+                    observers=gated_report(bandit_mp))
     engine.step()
     np.testing.assert_allclose(engine.p, [0.5, 0.5], atol=1e-12)
 
 
 def test_transcripts_are_deterministic(bandit_mp_random):
-    cfg = EngineConfig(seed=1234)
-    a = run(bandit_mp_random, IID([0.4, 0.6]), 300, cfg)
-    b = run(bandit_mp_random, IID([0.4, 0.6]), 300, cfg)
+    cfg, observers = EngineConfig(seed=1234), gated_report(bandit_mp_random)
+    a = run(bandit_mp_random, IID([0.4, 0.6]), 300, cfg, observers=observers)
+    b = run(bandit_mp_random, IID([0.4, 0.6]), 300, cfg, observers=observers)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    c = run(bandit_mp_random, IID([0.4, 0.6]), 300, EngineConfig(seed=1235))
+    c = run(bandit_mp_random, IID([0.4, 0.6]), 300, EngineConfig(seed=1235), observers=observers)
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
@@ -186,7 +187,8 @@ def test_played_action_stays_in_sampled_neighborhood(three_action_loss):
     game = Game.deterministic(three_action_loss,
                               [["0", "1"]] * 3)  # full information, 3 actions
     graph, _ = build_graph(game)
-    tr = Engine(game, IID([0.5, 0.5]), 500, EngineConfig(seed=5)).run()
+    tr = Engine(game, IID([0.5, 0.5]), 500, EngineConfig(seed=5),
+                observers=check_game(game, graph)).run()
     for k, a in zip(tr.k.tolist(), tr.action.tolist()):
         assert graph.are_neighbors(k, a)
         assert a in graph.neighbors[k]
@@ -206,13 +208,15 @@ class CyclingOutcomes:
 
 def test_flow_condition_holds_every_round(bandit_mp, apple_tasting):
     for game in (bandit_mp, apple_tasting):
-        engine = Engine(game, CyclingOutcomes(), 400, EngineConfig(seed=11))
+        engine = Engine(game, CyclingOutcomes(), 400, EngineConfig(seed=11),
+                        observers=gated_report(game))
         engine.run()
         assert engine.max_flow_residual_l1 <= 1e-9
 
 
 def test_q_constant_between_invocations(bandit_mp):
-    engine = Engine(bandit_mp, IID([0.5, 0.5]), 200, EngineConfig(seed=2))
+    engine = Engine(bandit_mp, IID([0.5, 0.5]), 200, EngineConfig(seed=2),
+                    observers=gated_report(bandit_mp))
     snapshots = [[lr.q.copy() for lr in engine.learners]]
     ks = []
     for t in range(200):
@@ -226,7 +230,8 @@ def test_q_constant_between_invocations(bandit_mp):
 
 
 def test_fixed_sequence_drives_engine(bandit_mp):
-    tr = run(bandit_mp, FixedSequence([1, 0] * 50), 100, EngineConfig(seed=3))
+    tr = run(bandit_mp, FixedSequence([1, 0] * 50), 100, EngineConfig(seed=3),
+             observers=gated_report(bandit_mp))
     assert tr.outcome.tolist() == [1, 0] * 50
 
 
@@ -236,10 +241,12 @@ def test_fixed_sequence_drives_engine(bandit_mp):
     ("seed", 1.5), ("seed", "3"), ("seed", -1), ("seed", True),
 ])
 def test_engine_config_rejects_bad_fields(bandit_mp, field, value):
+    observers = gated_report(bandit_mp)
     with pytest.raises(ValueError, match=f"^{field}: "):
-        run(bandit_mp, IID([0.5, 0.5]), 5, EngineConfig(**{field: value}))
+        run(bandit_mp, IID([0.5, 0.5]), 5, EngineConfig(**{field: value}), observers=observers)
     with pytest.raises(ValueError, match=f"^{field}: "):
-        Engine(bandit_mp, IID([0.5, 0.5]), 5, EngineConfig(**{field: value}))
+        Engine(bandit_mp, IID([0.5, 0.5]), 5, EngineConfig(**{field: value}),
+               observers=observers)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -247,8 +254,9 @@ def test_engine_config_rejects_bad_fields(bandit_mp, field, value):
     dict(eta=2, gamma=1.0, seed=2**40), dict(eta=1e308, gamma=0.5, seed=3),
 ])
 def test_engine_config_accepts_valid_fields(bandit_mp, kwargs):
-    tr = run(bandit_mp, IID([0.5, 0.5]), 5, EngineConfig(**kwargs))
-    assert len(tr.loss) == 5
+    tr = run(bandit_mp, IID([0.5, 0.5]), 5, EngineConfig(**kwargs),
+             observers=gated_report(bandit_mp))
+    assert len(tr.action) == 5
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,7 +375,8 @@ def test_flow_system_tracks_q_every_round(name, adversary, gamma, monkeypatch):
     """
     monkeypatch.chdir(DATA)
     game, _ = resolve_game(name)
-    engine = Engine(game, make_adversary(adversary, game), 120, EngineConfig(gamma=gamma, seed=4))
+    engine = Engine(game, make_adversary(adversary, game), 120, EngineConfig(gamma=gamma, seed=4),
+                    observers=gated_report(game))
     l1, linf = [0.0], [0.0]
     while engine.t < engine.horizon:
         Q = engine.Q.copy()  # the round rewrites one column after it solves
@@ -383,7 +392,8 @@ def test_flow_system_tracks_q_every_round(name, adversary, gamma, monkeypatch):
 @pytest.mark.parametrize("fault", ["sum", "negative"])
 def test_non_stochastic_column_raises_when_written(bandit_mp, fault, monkeypatch):
     """The column check runs on the column invoke returns, in the round it is written."""
-    engine = Engine(bandit_mp, IID([0.5, 0.5]), 20, EngineConfig(seed=6))
+    engine = Engine(bandit_mp, IID([0.5, 0.5]), 20, EngineConfig(seed=6),
+                    observers=gated_report(bandit_mp))
     real_invoke = pmsim.engine.invoke
     bad_round = 7
 
@@ -417,7 +427,7 @@ def test_engine_checks_every_column_when_built(bandit_mp, monkeypatch):
 
     monkeypatch.setattr(pmsim.engine, "make_learner", make_with_bad_column)
     with pytest.raises(FixedPointError, match=r"^non-stochastic column 1 \(sum "):
-        Engine(bandit_mp, IID([0.5, 0.5]), 5)
+        Engine(bandit_mp, IID([0.5, 0.5]), 5, observers=gated_report(bandit_mp))
 
 
 def absorbing_engine(monkeypatch, horizon, fail_at=None):
@@ -429,7 +439,8 @@ def absorbing_engine(monkeypatch, horizon, fail_at=None):
     and a list of the rounds in which the closed-class fallback ran.
     """
     game, _ = resolve_game("full_info_3x3")
-    engine = Engine(game, IID([1 / 3] * 3), horizon, EngineConfig(seed=8))
+    engine = Engine(game, IID([1 / 3] * 3), horizon, EngineConfig(seed=8),
+                    observers=gated_report(game))
     unit = np.eye(game.n_actions)
     engine.Q[:, :2] = unit[:, :2]
 
@@ -493,10 +504,12 @@ def test_uniforms_drawn_in_blocks_leave_the_transcript_unchanged(name, adversary
     """
     monkeypatch.chdir(DATA)
     game, _ = resolve_game(name)
+    observers = gated_report(game)
     horizon = 4 * UNIFORM_BLOCK + 11  # 3 * horizon engine uniforms: not a whole number of blocks
 
     def engine():
-        return Engine(game, make_adversary(adversary, game), horizon, EngineConfig(seed=5))
+        return Engine(game, make_adversary(adversary, game), horizon, EngineConfig(seed=5),
+                      observers=observers)
 
     whole = engine().run()
     split = engine()

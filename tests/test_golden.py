@@ -8,8 +8,8 @@ or any formatting of the output changes a digest.
 
 Those bytes see the learners' ``x`` and ``q`` only through the indices they
 sample, so a last-bit change in the learner can leave them unchanged.  Each
-learner-state case runs one :class:`~pmsim.Engine` built from the game,
-adversary, horizon and seed alone, and its digest is the SHA-256 over the
+learner-state case runs one :class:`~pmsim.Engine` built from the game's
+gated observability report, adversary, horizon and seed, and its digest is the SHA-256 over the
 ``float.hex`` of every learner's ``x``, ``q`` and ``f``, in action order, then
 of the final ``p``, ``eta`` and ``gamma``.
 
@@ -21,6 +21,7 @@ import hashlib
 import os
 
 import pytest
+from conftest import gated_report
 
 from pmsim import (Engine, EngineConfig, ExperimentConfig, make_adversary, resolve_game,
                    run_experiment)
@@ -156,7 +157,8 @@ def state_digest(name: str) -> str:
     game_name, adversary, horizon, seed = STATE_CASES[name]
     game, _ = resolve_game(os.path.join(DATA, game_name) if game_name.endswith(".json")
                            else game_name)
-    engine = Engine(game, make_adversary(adversary, game), horizon, EngineConfig(seed=seed))
+    engine = Engine(game, make_adversary(adversary, game), horizon, EngineConfig(seed=seed),
+                    observers=gated_report(game))
     engine.run()
     h = hashlib.sha256()
     for state in engine.learners:

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 from _mc import check_unbiased
+from conftest import gated_report
 
 import pmsim.engine
 import pmsim.learner
@@ -118,7 +119,8 @@ def test_running_costs_equal_summed_estimates(name, monkeypatch):
     monkeypatch.chdir(DATA)
     game, _ = resolve_game(name)
     horizon = 150 if game.n_actions > 3 else 400
-    engine = Engine(game, AdaptiveWorst(), horizon, EngineConfig(seed=3))
+    engine = Engine(game, AdaptiveWorst(), horizon, EngineConfig(seed=3),
+                    observers=gated_report(game))
     tr = engine.transcript
     real_invoke = pmsim.engine.invoke
     checked = []

@@ -19,6 +19,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import gated_report
 from numpy.linalg import _umath_linalg
 
 from pmsim import Engine, EngineConfig, catalog, make_adversary, resolve_game
@@ -68,7 +69,8 @@ def test_solve1_and_dot_match_numpy_on_engine_systems(name, monkeypatch):
     """Every round's flow system, ``Q`` and ``p`` of an adaptive run, as the engine solves them."""
     monkeypatch.chdir(DATA)
     game, _ = resolve_game(name)
-    engine = Engine(game, make_adversary("adaptive", game), 200, EngineConfig(seed=3))
+    engine = Engine(game, make_adversary("adaptive", game), 200, EngineConfig(seed=3),
+                    observers=gated_report(game))
     rhs = unit_rhs(game.n_actions)
     while engine.t < engine.horizon:
         A = flow_system(engine.Q)

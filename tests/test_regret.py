@@ -15,11 +15,11 @@ from pmsim import (
 from pmsim.regret import RegretTracker
 
 
-def make_transcript(actions, outcomes, L):
+def make_transcript(actions, outcomes):
     actions = np.asarray(actions, dtype=np.intp)
     outcomes = np.asarray(outcomes, dtype=np.intp)
     return Transcript(k=actions, action=actions, outcome=outcomes,
-                      symbol=np.zeros_like(actions), loss=L[actions, outcomes])
+                      symbol=np.zeros_like(actions))
 
 
 def complete_graph(n):
@@ -53,36 +53,36 @@ def oracle_internal(transcript, L):
 
 def test_external_regret_example():
     L = np.array([[0.0, 1.0], [1.0, 0.0]])
-    tr = make_transcript([0, 0, 1], [1, 1, 0], L)
+    tr = make_transcript([0, 0, 1], [1, 1, 0])
     assert report(tr, L).external == 2.0
 
 
 def test_external_regret_zero_when_playing_the_best_action():
     L = np.array([[0.0, 1.0], [1.0, 0.0]])
-    tr = make_transcript([0, 0, 0], [0, 0, 0], L)
+    tr = make_transcript([0, 0, 0], [0, 0, 0])
     assert report(tr, L).external == 0.0
 
 
 def test_empty_transcript_is_an_error():
     with pytest.raises(ValueError):
-        report(make_transcript([], [], np.eye(2)), np.eye(2))
+        report(make_transcript([], []), np.eye(2))
 
 
 def test_internal_regret_example():
     L = np.array([[0.0, 1.0], [1.0, 0.0]])
-    r = report(make_transcript([0, 0, 1], [1, 1, 0], L), L)
+    r = report(make_transcript([0, 0, 1], [1, 1, 0]), L)
     assert r.internal == 2.0 and r.worst_departure == (0, 1)
 
 
 def test_internal_regret_floors_at_zero():
     L = np.array([[0.0, 1.0], [1.0, 0.0]])
-    r = report(make_transcript([0], [0], L), L)
+    r = report(make_transcript([0], [0]), L)
     assert r.internal == 0.0 and r.worst_departure is None
 
 
 def test_unplayed_actions_contribute_nothing():
     L = np.array([[0.0, 1.0], [1.0, 0.0], [0.9, 0.9]])
-    tr = make_transcript([0, 1, 0], [0, 1, 1], L)
+    tr = make_transcript([0, 1, 0], [0, 1, 1])
     oracle_value, _ = oracle_internal(tr, L)
     assert report(tr, L).internal == oracle_value  # departures from the unplayed row 2 are zero
 
@@ -92,7 +92,7 @@ def test_local_equals_internal_on_two_actions(bandit_mp):
     rng = np.random.default_rng(0)
     for _ in range(20):
         tr = make_transcript(rng.integers(2, size=30).tolist(),
-                             rng.integers(2, size=30).tolist(), bandit_mp.loss)
+                             rng.integers(2, size=30).tolist())
         r = report(tr, bandit_mp.loss, graph)
         assert r.local_internal == r.internal
 
@@ -102,7 +102,7 @@ def test_local_restricted_to_neighbor_departures(three_action_loss):
     game = Game.deterministic(three_action_loss, [["0", "1"]] * 3)
     graph, _ = analyze_geometry(game)
     assert not graph.are_neighbors(0, 1)
-    tr = make_transcript([0, 1, 0, 1], [1, 0, 1, 0], three_action_loss)
+    tr = make_transcript([0, 1, 0, 1], [1, 0, 1, 0])
     r = report(tr, three_action_loss, graph)
     internal, local = r.internal, r.local_internal
     # (0->1)/(1->0) rewrites are excluded locally; only the hedge row is adjacent
@@ -125,7 +125,7 @@ def test_internal_matches_oracle_exactly_on_dyadic_losses():
         horizon = int(rng.integers(1, 51))
         L = rng.integers(0, 128, size=(n, m)) / 64.0  # dyadic: sums are exact
         tr = make_transcript(rng.integers(n, size=horizon).tolist(),
-                             rng.integers(m, size=horizon).tolist(), L)
+                             rng.integers(m, size=horizon).tolist())
         r = report(tr, L)
         oracle_value, oracle_pair = oracle_internal(tr, L)
         assert r.internal == oracle_value
@@ -139,7 +139,7 @@ def test_internal_matches_oracle_on_continuous_losses():
         n, horizon = int(rng.integers(2, 6)), int(rng.integers(1, 51))
         L = rng.random((n, 3))
         tr = make_transcript(rng.integers(n, size=horizon).tolist(),
-                             rng.integers(3, size=horizon).tolist(), L)
+                             rng.integers(3, size=horizon).tolist())
         assert report(tr, L).internal == pytest.approx(oracle_internal(tr, L)[0], abs=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_appending_a_round_moves_internal_by_at_most_the_loss_span():
     span = L.max() - L.min()
     actions = rng.integers(4, size=40).tolist()
     outcomes = rng.integers(3, size=40).tolist()
-    values = [report(make_transcript(actions[:t], outcomes[:t], L), L).internal
+    values = [report(make_transcript(actions[:t], outcomes[:t]), L).internal
               for t in range(1, 41)]
     for prev, cur in zip(values, values[1:]):
         assert abs(cur - prev) <= span + 1e-12
@@ -165,7 +165,7 @@ def test_theorem_bound_values():
 
 def test_regret_report_curves(bandit_mp):
     graph, _ = analyze_geometry(bandit_mp)
-    tr = make_transcript([0, 1, 0, 1, 0], [1, 0, 1, 0, 1], bandit_mp.loss)
+    tr = make_transcript([0, 1, 0, 1, 0], [1, 0, 1, 0, 1])
     report = regret_report(tr, bandit_mp.loss, graph, v_bar=0.5, checkpoints=[2, 5])
     assert report.checkpoints == [2, 5]
     assert len(report.curves["internal"]) == 2
@@ -234,7 +234,7 @@ def test_regret_report_matches_tracker_at_the_horizon():
     for _ in range(40):
         n, m, horizon = int(rng.integers(2, 9)), int(rng.integers(2, 5)), int(rng.integers(1, 80))
         L = rng.random((n, m))
-        tr = make_transcript(rng.integers(n, size=horizon), rng.integers(m, size=horizon), L)
+        tr = make_transcript(rng.integers(n, size=horizon), rng.integers(m, size=horizon))
         graph = random_graph(rng, n)
         tracker = RegretTracker(L, graph)
         for a, j in zip(tr.action, tr.outcome):
