@@ -77,8 +77,12 @@ def _eta_gamma(text: str):
 
 def _cmd_run(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise ValueError(f"config: invalid JSON: {exc}") from None
+        config = ExperimentConfig.from_dict(doc)
     else:
         if not args.game:
             raise GameFormatError("either --config or --game is required")

@@ -227,6 +227,16 @@ def test_run_rejects_bad_config_document(tmp_path, capsys, doc, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("content", [b'{"game": "bandit_mp", "horizons": [10', b"\xff\xfe{}"])
+def test_run_rejects_unreadable_config_file(tmp_path, capsys, content):
+    """A truncated document and one that is not UTF-8 exit 2 naming the config."""
+    path = tmp_path / "exp.json"
+    path.write_bytes(content)
+    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
+    assert err.startswith("pm: config: invalid JSON: ") and "Traceback" not in err
+
+
 def test_run_with_overflowing_eta_takes_the_limit(tmp_path, capsys):
     """The overflow of ``-eta * f`` is handled silently: any warning fails the run."""
     with warnings.catch_warnings():
