@@ -1,3 +1,4 @@
+import ast
 import os
 import warnings
 from types import SimpleNamespace
@@ -120,6 +121,24 @@ def test_sample_index_matches_the_reference_loop():
             # most pmfs sum to 1 up to rounding; every fourth stops short of 1
             pmf /= pmf.sum() * (1.0 if trial % 4 else 1.25)
         assert sample_index(rng, pmf) == reference_sample_index(ref_rng, pmf)
+
+
+def test_engine_imports_no_set_up():
+    """The engine takes its set-up as a report: it imports neither the geometry nor check_game."""
+    with open(pmsim.engine.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules, names = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+            names += [alias.name.rpartition(".")[2] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+            names += [alias.name for alias in node.names]
+    assert ".observability" in modules and "ObservabilityReport" in names  # the scan sees imports
+    assert not [m for m in modules if m in (".geometry", "pmsim.geometry", "geometry")
+                or m.startswith(("pmsim.geometry.", ".geometry."))]
+    assert "geometry" not in names and "check_game" not in names and "build_graph" not in names
 
 
 def test_engine_refuses_an_ungated_unobservable_report(label_efficient):
