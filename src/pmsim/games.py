@@ -22,6 +22,9 @@ import numpy as np
 from .errors import GameFormatError
 
 DIST_TOL = 1e-12
+# the largest |loss| must be 0 or within a factor LOSS_RANGE of 1, so that the
+# set-up's margins and observers, and the run's automatic eta, stay finite and nonzero
+LOSS_RANGE = 2.0 ** 256
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,10 @@ def _as_loss_matrix(loss: Any) -> np.ndarray:
         raise GameFormatError(f"need at least 2 actions and 2 outcomes, got {L.shape}")
     if not np.all(np.isfinite(L)):
         raise GameFormatError("loss matrix contains non-finite entries")
+    top = float(np.abs(L).max())
+    if top and not 1.0 / LOSS_RANGE <= top <= LOSS_RANGE:
+        raise GameFormatError(f"loss matrix: largest |entry| {top:.6g} is outside "
+                              f"[2**-256, 2**256]")
     return L
 
 

@@ -7,10 +7,17 @@ also neighbors itself.  Games where some cell is empty (dominated action) or
 where three cells meet along a shared face (degenerate), or whose graph is
 disconnected, are refused by :func:`strict_gate`, since the learner's
 guarantees assume none of these occurs.
+
+Every set-up tolerance, here, in the simplex and in the observers, is written
+for losses of size about 1.  So the set-up runs on the loss divided by its
+:func:`loss_unit`, a power of two, which is exact, and reports margins in the
+game's units: scaling a game by a power of two scales every margin bit for bit,
+and no verdict depends on the unit the losses are written in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,6 +66,13 @@ class GeometryReport:
     cell_margins: np.ndarray
     dominated_actions: list[int]
     degenerate_witnesses: list[tuple[int, ...]]
+
+
+def loss_unit(L: np.ndarray) -> float:
+    """The power of two that brings ``max|L|`` into [1, 2): 1.0 for losses already there
+    (and for an all-zero ``L``)."""
+    top = float(np.abs(L).max())
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
 
 
 def _check_distribution(q) -> np.ndarray:
@@ -120,7 +134,9 @@ def _margins(L: np.ndarray, lps: list) -> np.ndarray:
 
 def cell_margin(L, i: int) -> float:
     """Largest margin by which action ``i`` beats all others somewhere on the simplex."""
-    return float(_margins(np.asarray(L, dtype=float), [(i, ())])[0])
+    L = np.asarray(L, dtype=float)
+    unit = loss_unit(L)
+    return float(_margins(L / unit, [(i, ())])[0]) * unit
 
 
 def pair_margin(L, i: int, j: int) -> float:
@@ -131,7 +147,9 @@ def pair_margin(L, i: int, j: int) -> float:
     """
     if i == j:
         raise ValueError("pair margin needs two distinct actions")
-    return float(_margins(np.asarray(L, dtype=float), [(i, [(i, j)])])[0])
+    L = np.asarray(L, dtype=float)
+    unit = loss_unit(L)
+    return float(_margins(L / unit, [(i, [(i, j)])])[0]) * unit
 
 
 def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, GeometryReport]:
@@ -144,6 +162,8 @@ def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, Geomet
     N = L.shape[0]
     if N < 2:
         raise ValueError("cell decomposition needs at least two actions")
+    unit = loss_unit(L)
+    L = L / unit  # every test below runs in these units; the report is in the game's
     # equal rows within tolerance are degenerate witnesses
     tol = _EQUAL_ROW_TOL * (1.0 + np.maximum.reduce(np.abs(L), axis=None))
     equal = (np.maximum.reduce(np.abs(L[:, None] - L), axis=2) <= tol).tolist()
@@ -152,12 +172,10 @@ def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, Geomet
 
     # every cell LP, then every pair LP in (i, j) order, as one stack
     found = _margins(L, [(i, ()) for i in range(N)] + [(i, [(i, j)]) for i, j in pairs])
-    cell_margins = found[:N]
-    dominated = (cell_margins <= MARGIN_TOL).nonzero()[0].tolist()
+    dominated = (found[:N] <= MARGIN_TOL).nonzero()[0].tolist()
 
-    margins = dict(zip(pairs, found[N:].tolist()))
     adjacent, ties = [{i} for i in range(N)], []
-    for (i, j), d in margins.items():
+    for (i, j), d in zip(pairs, found[N:].tolist()):
         if d > MARGIN_TOL:
             adjacent[i].add(j)
             adjacent[j].add(i)
@@ -166,9 +184,11 @@ def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, Geomet
     if ties:
         on_face = _margins(L, [(i, [(i, j), (k, i)]) for i, j, k in ties]) != -np.inf
         witnesses += [t for t, hit in zip(ties, on_face.tolist()) if hit]
+    found *= unit
     neighbors = tuple(tuple(sorted(a)) for a in adjacent)
-    graph = NeighborhoodGraph(n_actions=N, neighbors=neighbors, margins=margins)
-    return graph, GeometryReport(cell_margins, dominated, witnesses)
+    graph = NeighborhoodGraph(n_actions=N, neighbors=neighbors,
+                              margins=dict(zip(pairs, found[N:].tolist())))
+    return graph, GeometryReport(found[:N], dominated, witnesses)
 
 
 def strict_gate(graph: NeighborhoodGraph, report: GeometryReport) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import lstsq as _lapack_lstsq
 
 from .games import Game
-from .geometry import NeighborhoodGraph
+from .geometry import NeighborhoodGraph, loss_unit
 
 REL_TOL = 1e-8
 _EPS = np.finfo(np.float64).eps  # np.linalg.lstsq's rcond=None is eps * max(M, N)
@@ -127,7 +127,9 @@ def solve_pairs(game: Game, pairs: list[tuple[int, int]]) -> list[ObserverVector
     Every i has the same number of symbols, and so has every j, so the pairs'
     stacked signal matrices have one shape: they are solved as one stack, and
     every residual ``|stacked(i, j)^T v - target|`` comes from one batched
-    product.
+    product.  They are solved and tested on the loss divided by its
+    :func:`~pmsim.geometry.loss_unit`, and ``v`` and the residual are reported
+    in the game's units.
     """
     ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
     rows = [game.signal_matrix(a).matrix for a in range(game.n_actions)]
@@ -135,12 +137,15 @@ def solve_pairs(game: Game, pairs: list[tuple[int, int]]) -> list[ObserverVector
     stacked = np.concatenate((np.array([rows[i] for i in ii]), np.array([rows[j] for j in jj])),
                              axis=1)
     a = stacked.transpose(0, 2, 1)
-    target = game.loss[jj] - game.loss[ii]
+    unit = loss_unit(game.loss)
+    loss = game.loss / unit
+    target = loss[jj] - loss[ii]
     v = lstsq_stack(a, target)
     residual = np.abs(np.matmul(a, v[..., None])[..., 0] - target).max(axis=1).tolist()
     scale = np.abs(target).max(axis=1).tolist()
     split = game.signal_matrix(ii[0]).n_symbols
-    return [ObserverVector(i=i, j=j, v=v[k], split=split, residual=residual[k],
+    v *= unit
+    return [ObserverVector(i=i, j=j, v=v[k], split=split, residual=residual[k] * unit,
                            observable=residual[k] <= REL_TOL * (1.0 + scale[k]))
             for k, (i, j) in enumerate(pairs)]
 
