@@ -9,10 +9,10 @@ disconnected, are refused by :func:`strict_gate`, since the learner's
 guarantees assume none of these occurs.
 
 Every set-up tolerance, here, in the simplex and in the observers, is written
-for losses of size about 1.  So the set-up runs on the loss divided by its
-:func:`loss_unit`, a power of two, which is exact, and reports margins in the
-game's units: scaling a game by a power of two scales every margin bit for bit,
-and no verdict depends on the unit the losses are written in.
+for losses of size about 1.  So the LPs are solved on the loss divided by its
+:func:`loss_unit`, a power of two, and the tolerances on their margins scale by
+that unit: both are exact, so scaling a game by a power of two scales every
+margin bit for bit, and no verdict depends on the unit the losses are written in.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def second_best(L, q) -> int:
 
 
 def _margins(L: np.ndarray, lps: list) -> np.ndarray:
-    """Margins of the LPs ``(i, eq)`` of loss ``L``, solved as one stack: ``inf``
-    where d is unbounded, ``-inf`` where the LP is infeasible.
+    """Margins of the LPs ``(i, eq)`` of loss ``L``, solved as one stack on ``L`` in its
+    :func:`loss_unit`: ``inf`` where d is unbounded, ``-inf`` where the LP is infeasible.
 
     LP ``(i, eq)`` is  max d  s.t.  q in simplex,  (L[k] - L[i]).q >= d  for
     each action k other than i and the actions in ``eq``, and  (L[a] - L[b]).q
@@ -113,6 +113,8 @@ def _margins(L: np.ndarray, lps: list) -> np.ndarray:
     enters, so every LP of a game has N rows and one shape.
     """
     N, M = L.shape
+    unit = loss_unit(L)
+    L = L / unit
     K, W = len(lps), M + 1 + N
     P, Q, eq_rows = [], [], []
     for s, (i, eq) in enumerate(lps):
@@ -129,14 +131,12 @@ def _margins(L: np.ndarray, lps: list) -> np.ndarray:
     A.reshape(-1, W)[eq_rows, M:] = 0.0  # an equality row has neither d nor a surplus
     b, c = np.zeros((K, N)), np.zeros(W)
     b[:, 0], c[M:M + 2] = 1.0, (-1.0, 1.0)  # q sums to 1; minimize -d = d- - d+
-    return -solve_lp(c, A, b)[0]
+    return -solve_lp(c, A, b)[0] * unit
 
 
 def cell_margin(L, i: int) -> float:
     """Largest margin by which action ``i`` beats all others somewhere on the simplex."""
-    L = np.asarray(L, dtype=float)
-    unit = loss_unit(L)
-    return float(_margins(L / unit, [(i, ())])[0]) * unit
+    return float(_margins(np.asarray(L, dtype=float), [(i, ())])[0])
 
 
 def pair_margin(L, i: int, j: int) -> float:
@@ -147,9 +147,7 @@ def pair_margin(L, i: int, j: int) -> float:
     """
     if i == j:
         raise ValueError("pair margin needs two distinct actions")
-    L = np.asarray(L, dtype=float)
-    unit = loss_unit(L)
-    return float(_margins(L / unit, [(i, [(i, j)])])[0]) * unit
+    return float(_margins(np.asarray(L, dtype=float), [(i, [(i, j)])])[0])
 
 
 def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, GeometryReport]:
@@ -162,33 +160,33 @@ def analyze_geometry(game: Game | np.ndarray) -> tuple[NeighborhoodGraph, Geomet
     N = L.shape[0]
     if N < 2:
         raise ValueError("cell decomposition needs at least two actions")
-    unit = loss_unit(L)
-    L = L / unit  # every test below runs in these units; the report is in the game's
+    unit = loss_unit(L)  # the tolerances are for losses of size 1: they scale with the unit
+    margin_tol = MARGIN_TOL * unit
     # equal rows within tolerance are degenerate witnesses
-    tol = _EQUAL_ROW_TOL * (1.0 + np.maximum.reduce(np.abs(L), axis=None))
+    tol = _EQUAL_ROW_TOL * (unit + np.maximum.reduce(np.abs(L), axis=None))
     equal = (np.maximum.reduce(np.abs(L[:, None] - L), axis=2) <= tol).tolist()
     pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
     witnesses: list[tuple[int, ...]] = [(i, j) for i, j in pairs if equal[i][j]]
 
     # every cell LP, then every pair LP in (i, j) order, as one stack
     found = _margins(L, [(i, ()) for i in range(N)] + [(i, [(i, j)]) for i, j in pairs])
-    dominated = (found[:N] <= MARGIN_TOL).nonzero()[0].tolist()
+    cell_margins = found[:N]
+    dominated = (cell_margins <= margin_tol).nonzero()[0].tolist()
 
+    margins = dict(zip(pairs, found[N:].tolist()))
     adjacent, ties = [{i} for i in range(N)], []
-    for (i, j), d in zip(pairs, found[N:].tolist()):
-        if d > MARGIN_TOL:
+    for (i, j), d in margins.items():
+        if d > margin_tol:
             adjacent[i].add(j)
             adjacent[j].add(i)
-        elif d >= -MARGIN_TOL:  # (i, j, k): is this zero-margin face also on k's boundary?
+        elif d >= -margin_tol:  # (i, j, k): is this zero-margin face also on k's boundary?
             ties += [(i, j, k) for k in range(N) if k not in (i, j)]
     if ties:
         on_face = _margins(L, [(i, [(i, j), (k, i)]) for i, j, k in ties]) != -np.inf
         witnesses += [t for t, hit in zip(ties, on_face.tolist()) if hit]
-    found *= unit
     neighbors = tuple(tuple(sorted(a)) for a in adjacent)
-    graph = NeighborhoodGraph(n_actions=N, neighbors=neighbors,
-                              margins=dict(zip(pairs, found[N:].tolist())))
-    return graph, GeometryReport(found[:N], dominated, witnesses)
+    graph = NeighborhoodGraph(n_actions=N, neighbors=neighbors, margins=margins)
+    return graph, GeometryReport(cell_margins, dominated, witnesses)
 
 
 def strict_gate(graph: NeighborhoodGraph, report: GeometryReport) -> None:
