@@ -141,7 +141,7 @@ def test_engine_imports_no_set_up():
     assert "geometry" not in names and "check_game" not in names and "build_graph" not in names
 
 
-def test_engine_refuses_an_ungated_unobservable_report(label_efficient):
+def test_run_gates_unobservable_games(label_efficient):
     """A report built without the gate, of a game that is not locally observable."""
     graph, _ = analyze_geometry(label_efficient)
     observers = check_game(label_efficient, graph)
