@@ -82,6 +82,9 @@ def _cmd_run(args) -> int:
                 doc = json.load(fh)
         except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
             raise ValueError(f"config: invalid JSON: {exc}") from None
+        except OSError as exc:  # missing, unreadable, a directory
+            raise ValueError(f"config: cannot read {args.config!r}: "
+                             f"{exc.strerror or exc}") from None
         config = ExperimentConfig.from_dict(doc)
     else:
         if not args.game:

@@ -83,12 +83,13 @@ def _check_distribution(q) -> np.ndarray:
 
 
 def best_response(L, q) -> BestResponse:
-    """Smallest-index minimizer of expected loss against ``q``, with its tie set."""
+    """Smallest-index minimizer of expected loss against ``q``, with its tie set: the
+    actions within ``1e-12`` of it, in the :func:`loss_unit` of ``L``."""
     L = np.asarray(L, dtype=float)
     q = _check_distribution(q)
     values = L @ q
     lo = values.min()
-    ties = tuple(np.flatnonzero(values <= lo + 1e-12 * (1.0 + abs(lo))).tolist())
+    ties = tuple(np.flatnonzero(values <= lo + 1e-12 * (loss_unit(L) + abs(lo))).tolist())
     return BestResponse(ties[0], ties)
 
 def second_best(L, q) -> int:

@@ -4,6 +4,12 @@ A sweep runs one game against one adversary kind over a grid of horizons and
 seeds, writes one CSV per run plus a summary with mean/std regret curves, the
 guarantee values, and a log-log slope fit of mean internal regret against the
 horizon.  Identical configurations produce byte-identical files.
+
+The replicates of a sweep run side by side, one process per CPU in the
+process's affinity mask (``taskset -c 0`` gives a serial run): each has its own
+seed streams and adversary binding and writes its own CSV, and only its final
+internal regret comes back to the calling process, which writes the summary in
+(horizon, seed) order.  So no output byte depends on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field, fields
 from typing import Any, NamedTuple
 
@@ -18,7 +26,7 @@ import numpy as np
 
 from .adversaries import Adversary, AdaptiveWorst, FixedSequence, IID
 from .engine import Engine, EngineConfig, check_rates, is_integer, is_number, is_seed
-from .errors import GameFormatError, NotLocallyObservableError
+from .errors import GameFormatError, NotLocallyObservableError, PmsimError
 from .games import Game, game_from_dict, load_game
 from .geometry import analyze_geometry, strict_gate
 from .observability import check_game
@@ -248,12 +256,90 @@ def _write_run_csv(path: str, transcript, loss: np.ndarray, report: RegretReport
         writer.writerows(zip(*columns))  # csv writes Python floats as repr()
 
 
+def _workers(n_replicates: int) -> int:
+    """Processes for a sweep: one per CPU in the affinity mask, at most one per replicate;
+    1 where the platform has no ``os.fork`` or ``os.sched_getaffinity``."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_replicates)
+
+
+def _groups(replicates: list[tuple[int, int]], w: int) -> list[list[tuple[int, int]]]:
+    """Split ``(T, seed)`` replicates into ``w`` groups: longest horizon first, each onto the
+    least-loaded group (rounds), the lowest index on a tie.  Each group keeps (T, seed) order."""
+    loads, groups = [0] * w, [[] for _ in range(w)]
+    for T, seed in sorted(replicates, key=lambda r: -r[0]):
+        g = loads.index(min(loads))
+        groups[g].append((T, seed))
+        loads[g] += T
+    return [sorted(group) for group in groups]
+
+
+def _run_group(group, run_one) -> dict:
+    """``run_one`` on each replicate of ``group`` in order, up to the first that raises:
+    ``{(T, seed): final internal regret, or the exception}``."""
+    results = {}
+    for replicate in group:
+        try:
+            results[replicate] = run_one(*replicate)
+        except Exception as exc:  # the parent raises it, in (T, seed) order
+            results[replicate] = exc
+            break
+    return results
+
+
+def _fork_group(group, run_one):
+    """Run ``group`` in a child process; returns its pid and the read end of its pipe.
+
+    The child pickles its results, exceptions included, into the pipe and leaves with
+    ``os._exit``: it never returns into the caller's stack, runs no ``atexit`` handler and
+    flushes no inherited stdio buffer.  A child that cannot pickle its results writes none.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # child
+        code = 1
+        try:
+            os.close(r)
+            data = pickle.dumps(_run_group(group, run_one))
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)  # before the next fork, so that only this child holds the write end
+    return pid, os.fdopen(r, "rb")
+
+
+def _read_results(pipe) -> dict:
+    """A child's results, read to EOF; empty when it exited without writing them whole
+    (or wrote an exception that does not unpickle)."""
+    with pipe:
+        data = pipe.read()
+    try:
+        return pickle.loads(data) if data else {}
+    except Exception:  # a write cut short, or an exception class that does not unpickle
+        return {}
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the sweep described by ``config`` and persist CSVs plus a summary.
 
     Games failing the observability gate are refused: a classification
     report is written and NotLocallyObservableError raised.  Games that then
     fail :func:`~pmsim.geometry.strict_gate` are refused with its errors.
+
+    The (horizon, seed) replicates run in :func:`_workers` processes: the caller
+    runs the first group and forks one child per other group.  Every replicate
+    writes its own CSV; the summary is written from the final internal regrets in
+    (T, seed) order, so no output byte depends on the number of processes.  When
+    replicates fail, the earliest in (T, seed) order raises, after every group has
+    finished, and no summary is written.
     """
     game, game_name = resolve_game(config.game)
     graph, geo = analyze_geometry(game)
@@ -277,24 +363,51 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             f"(report at {path})"
         )
     strict_gate(graph, geo)
+    adversary = make_adversary(config.adversary, game)  # each engine binds it afresh
+
+    def run_one(T: int, seed: int) -> float:
+        engine = Engine(game, adversary, T,
+                        EngineConfig(eta=config.eta, gamma=config.gamma, seed=seed),
+                        observers=observers)
+        transcript = engine.run()
+        report = regret_report(transcript, game.loss, graph, observers.v_bar,
+                               config.checkpoints)
+        os.makedirs(config.out_dir, exist_ok=True)  # not before: a refused run makes none
+        _write_run_csv(os.path.join(config.out_dir, f"run_T{T}_seed{seed}.csv"),
+                       transcript, game.loss, report)
+        return report.internal
 
     horizons = sorted(config.horizons)
     seeds = config.seed_list()
-    csv_paths = []
+    replicates = [(T, seed) for T in horizons for seed in seeds]
+    groups = _groups(replicates, _workers(len(replicates)))
+    children = []
+    try:
+        for group in groups[1:]:
+            children.append(_fork_group(group, run_one))
+        results = _run_group(groups[0], run_one)
+        for _, pipe in children:
+            results.update(_read_results(pipe))
+    except BaseException:  # KeyboardInterrupt, or a failed fork: no child outlives the call
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
     final_int = {T: [] for T in horizons}
-    for T in horizons:
-        for seed in seeds:
-            engine = Engine(game, make_adversary(config.adversary, game), T,
-                            EngineConfig(eta=config.eta, gamma=config.gamma, seed=seed),
-                            observers=observers)
-            transcript = engine.run()
-            report = regret_report(transcript, game.loss, graph, observers.v_bar,
-                                   config.checkpoints)
-            os.makedirs(config.out_dir, exist_ok=True)  # not before: a refused run makes none
-            path = os.path.join(config.out_dir, f"run_T{T}_seed{seed}.csv")
-            _write_run_csv(path, transcript, game.loss, report)
-            final_int[T].append(report.internal)
-            csv_paths.append(path)
+    for T, seed in replicates:
+        value = results.get((T, seed))
+        if value is None:
+            raise PmsimError(f"replicate T={T} seed={seed}: its worker process exited "
+                             f"without a result")
+        if isinstance(value, BaseException):
+            raise value
+        final_int[T].append(value)
+    csv_paths = [os.path.join(config.out_dir, f"run_T{T}_seed{seed}.csv")
+                 for T, seed in replicates]
 
     means = [float(np.mean(final_int[T])) for T in horizons]
     stds = [float(np.std(final_int[T])) for T in horizons]

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,17 @@ from pmsim import build_graph, check_game, harness
 def gated_report(game):
     """The observability report of ``game`` behind the strict gate, as an engine takes it."""
     return check_game(game, build_graph(game)[0])
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or exited."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process is left unreaped (waitpid gave pid {pid}, status {status})")
 
 
 @pytest.fixture(scope="session")

@@ -237,6 +237,14 @@ def test_run_rejects_unreadable_config_file(tmp_path, capsys, content):
     assert err.startswith("pm: config: invalid JSON: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_run_rejects_a_config_path_it_cannot_read(tmp_path, capsys, name):
+    """A missing file, or a directory, exits 2 naming the config."""
+    code, _, err = run_cli(capsys, "run", "--config", str(tmp_path / name))
+    assert code == 2
+    assert err.startswith("pm: config: cannot read ") and "Traceback" not in err
+
+
 def test_run_with_overflowing_eta_takes_the_limit(tmp_path, capsys):
     """The overflow of ``-eta * f`` is handled silently: any warning fails the run."""
     with warnings.catch_warnings():

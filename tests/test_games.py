@@ -4,11 +4,11 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmsim import IID, Game, GameFormatError, parse_game, resolve_game
 from pmsim.engine import sample_index
-from pmsim.games import draw_index
+from pmsim.games import LOSS_RANGE, draw_index
 from _mc import _inverse_cdf
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -254,7 +254,15 @@ def game_docs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(doc=game_docs())
+@example(doc={"loss": [[0, 0], [0, 5e-324]], "signals": [["0", "0"], ["0", "0"]]})
 def test_to_dict_round_trips_through_parse_game(doc):
+    """A document round-trips, or, exactly when its nonzero max|L| lies outside
+    [2**-256, 2**256], it is refused naming the loss."""
+    top = max(abs(x) for row in doc["loss"] for x in row)
+    if top and not 1.0 / LOSS_RANGE <= top <= LOSS_RANGE:
+        with pytest.raises(GameFormatError, match="loss"):
+            parse_game(json.dumps(doc))
+        return
     game = parse_game(json.dumps(doc))
     out = game.to_dict()
     again = parse_game(json.dumps(out))

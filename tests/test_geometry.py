@@ -108,6 +108,14 @@ def test_best_response_examples(three_action_loss):
     assert br.action == 2 and br.ties == (2,)
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e13, 2.0 ** -40])
+def test_best_response_ties_do_not_depend_on_the_loss_unit(three_action_loss, scale):
+    two = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for L, q in [(three_action_loss, [0.3, 0.7]), (three_action_loss, [0.5, 0.5]),
+                 (two, [0.5, 0.5]), (two, [0.9, 0.1])]:
+        assert best_response(L * scale, q) == best_response(L, q)
+
+
 def test_best_response_rejects_non_distribution():
     with pytest.raises(ValueError):
         best_response(np.eye(2), [0.9, 0.3])

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +21,12 @@ from pmsim import (
     run_experiment,
     theorem_bound,
 )
+from pmsim import harness
+from pmsim.cli import main
+from pmsim.errors import FixedPointError, LPSolverError, PmsimError
 from pmsim.harness import CSV_COLUMNS
+
+VORONOI_N16 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "voronoi_n16.json")
 
 
 def test_catalog_contents_and_observability_flags():
@@ -143,3 +150,154 @@ def test_config_rejects_non_integer_seeds(seeds):
 
 def test_config_accepts_numpy_integer_seeds():
     assert ExperimentConfig(game="bandit_mp", seeds=[np.int64(4), 9]).seed_list() == [4, 9]
+
+
+# --- replicates across processes ---------------------------------------------
+
+def _use_cpus(monkeypatch, k):
+    """Pretend the affinity mask holds ``k`` CPUs; count the forks in the parent."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _fail_at(monkeypatch, failures):
+    """Make the engine of replicate (T, seed) call ``failures[(T, seed)]`` first."""
+    real = harness.Engine
+
+    def engine(game, adversary, T, config, *, observers):
+        if (T, config.seed) in failures:
+            failures[(T, config.seed)]()
+        return real(game, adversary, T, config, observers=observers)
+
+    monkeypatch.setattr(harness, "Engine", engine)
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+def _files(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@pytest.mark.parametrize("game, adversary, checkpoints", [
+    ("bandit_mp_random", "iid:0.3,0.7", None),
+    (VORONOI_N16, "adaptive", [5, 20, 45, 60]),
+])
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, game, adversary,
+                                                   checkpoints):
+    outs = []
+    for k in (1, 2, 3):
+        forks = _use_cpus(monkeypatch, k)
+        config = ExperimentConfig(game=game, adversary=adversary, horizons=[45, 20, 60],
+                                  seeds=[7, 0, 3], checkpoints=checkpoints,
+                                  out_dir=str(tmp_path / f"w{k}"))
+        result = run_experiment(config)
+        assert len(forks) == k - 1
+        assert result.csv_paths == [os.path.join(config.out_dir, f"run_T{T}_seed{s}.csv")
+                                    for T in (20, 45, 60) for s in (7, 0, 3)]
+        outs.append(_files(tmp_path / f"w{k}"))
+    assert len(outs[0]) == 10 and outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_groups_balance_rounds_longest_first():
+    replicates = [(T, s) for T in (250, 1000) for s in (1, 2, 3)]
+    groups = harness._groups(replicates, 2)
+    assert groups == [[(1000, 1), (1000, 3)], [(250, 1), (250, 2), (250, 3), (1000, 2)]]
+    assert harness._groups(replicates, 1) == [replicates]
+    assert sorted(sum(harness._groups(replicates, 4), [])) == replicates
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_earliest_failing_replicate_raises(tmp_path, monkeypatch, capsys, k):
+    """Whichever process runs them, the (T, seed)-earliest failure is the error raised."""
+    _use_cpus(monkeypatch, k)
+    _fail_at(monkeypatch, {
+        (20, 0): _raise(ValueError("T=20 seed=0 fails too")),
+        (10, 1): _raise(FixedPointError("T=10 seed=1 fails first")),
+        (10, 2): _raise(LPSolverError("T=10 seed=2 fails later")),
+    })
+    config = ExperimentConfig(game="bandit_mp", horizons=[10, 20], seeds=3,
+                              out_dir=str(tmp_path / "lib"))
+    with pytest.raises(FixedPointError, match="^T=10 seed=1 fails first$"):
+        run_experiment(config)
+    assert not (tmp_path / "lib" / "summary.json").exists()
+
+    code = main(["run", "--game", "bandit_mp", "--T", "10,20", "--seeds", "3",
+                 "--out", str(tmp_path / "cli")])
+    err = capsys.readouterr().err
+    assert code == 1 and "T=10 seed=1 fails first" in err and "Traceback" not in err
+    assert not (tmp_path / "cli" / "summary.json").exists()
+
+
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: its class takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@pytest.mark.parametrize("how", ["exit", "unpicklable"])
+def test_worker_that_exits_without_a_result(tmp_path, monkeypatch, capsys, how):
+    _use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def leave():
+        if os.getpid() != parent:
+            if how == "exit":
+                os._exit(0)
+            raise _TwoArgError("a", "b")
+
+    _fail_at(monkeypatch, {(T, s): leave for T in (10, 20) for s in range(3)})
+    code = main(["run", "--game", "bandit_mp", "--T", "10,20", "--seeds", "3",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert "its worker process exited without a result" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_keyboard_interrupt_kills_and_reaps_the_workers(tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def stall_or_interrupt():
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    _fail_at(monkeypatch, {(T, s): stall_or_interrupt for T in (10, 20) for s in range(3)})
+    config = ExperimentConfig(game="bandit_mp", horizons=[10, 20], seeds=3,
+                              out_dir=str(tmp_path))
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config)
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k, seeds", [(1, 3), (4, 1)])
+def test_one_cpu_or_one_replicate_never_forks(tmp_path, monkeypatch, k, seeds):
+    forks = _use_cpus(monkeypatch, k)
+    config = ExperimentConfig(game="bandit_mp", horizons=[15], seeds=seeds,
+                              out_dir=str(tmp_path))
+    assert len(run_experiment(config).csv_paths) == seeds
+    assert forks == []
+
+
+def test_without_an_affinity_mask_runs_in_one_process(tmp_path, monkeypatch):
+    forks = _use_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    config = ExperimentConfig(game="bandit_mp", horizons=[15], seeds=3, out_dir=str(tmp_path))
+    run_experiment(config)
+    assert forks == []
