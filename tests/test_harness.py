@@ -23,7 +23,7 @@ from pmsim import (
 )
 from pmsim import harness
 from pmsim.cli import main
-from pmsim.errors import FixedPointError, LPSolverError, PmsimError
+from pmsim.errors import FixedPointError, LPSolverError
 from pmsim.harness import CSV_COLUMNS
 
 VORONOI_N16 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "voronoi_n16.json")
