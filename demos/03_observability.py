@@ -6,6 +6,8 @@ minimum-norm observer vector and the constant v_bar that scales the regret
 guarantee, for the label-efficient game the pair that breaks.
 """
 
+import numpy as np
+
 from pmsim import analyze_geometry, catalog, check_game
 
 for entry in catalog():
@@ -19,7 +21,7 @@ for entry in catalog():
     for (i, j) in sorted(report.per_pair):
         ov = report.per_pair[(i, j)]
         if ov.observable:
-            print(f"  pair ({i},{j}): v = {ov.v.round(6)}, |v|_inf = {ov.sup_norm:.3f}")
+            print(f"  pair ({i},{j}): v = {ov.v.round(6)}, |v|_inf = {np.abs(ov.v).max():.3f}")
         else:
             print(f"  pair ({i},{j}): UNOBSERVABLE (residual {ov.residual:.3f})")
     if report.locally_observable:

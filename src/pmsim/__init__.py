@@ -36,7 +36,7 @@ from .harness import (
     resolve_game,
     run_experiment,
 )
-from .observability import ObservabilityReport, ObserverVector, check_game, solve_observer
+from .observability import ObservabilityReport, ObserverVector, check_game
 from .regret import RegretCurves, RegretReport, regret_curves, regret_report, theorem_bound
 
 __all__ = [
@@ -48,8 +48,7 @@ __all__ = [
     "auto_eta", "auto_gamma", "best_response", "build_graph", "catalog",
     "cell_margin", "check_game", "fit_slope", "fixed_point", "load_game",
     "make_adversary", "pair_margin", "parse_game", "regret_curves", "regret_report",
-    "resolve_game", "run", "run_experiment", "second_best", "solve_observer",
-    "theorem_bound",
+    "resolve_game", "run", "run_experiment", "second_best", "theorem_bound",
 ]
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ since ``math.exp`` can differ from it in the last bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import add, mul
 
@@ -53,38 +52,13 @@ def make_learner(action: int, n_actions: int, eta: float, gamma: float,
                         tables=tables, f=[0.0] * n)
 
 
-def estimate_b(state: LearnerState, k: int, played: int, symbol: int, q: Sequence[float],
-               observers: ObservabilityReport, j: int) -> float:
-    """Loss-difference estimate of neighbor ``j`` against the owner, from one round.
-
-    Only two kinds of round contribute: rounds where the owner's own action
-    was played (the observer's top block reads the signal), and rounds where
-    the owner was the sampled neighborhood ``k`` and ``j`` was played (bottom
-    block, importance-weighted by ``q[j]``, the owner's distribution in force
-    that round).
-    """
-    i = state.action
-    if j == i:
-        return 0.0  # an action against itself has relative cost zero
-    ov = observers.observer(i, j)
-    b = 0.0
-    if played == i:
-        b += float(ov.top[symbol])
-    if k == i and played == j:
-        qj = q[j]
-        if qj <= 0.0:
-            raise RuntimeError(f"learner {i} sampled neighbor {j} with zero probability")
-        b += float(ov.bottom[symbol]) / qj
-    return b
-
-
 def add_round(learners: list[LearnerState], t: int, k: int, played: int, symbol: int) -> None:
     """Add round ``t``'s estimates to the running costs of the learners that use it.
 
     The played action's learner reads its top table; a sampled learner ``k``
     other than it reads its bottom block for ``played``, weighted by its own
     ``q``, in force until ``k`` is invoked.  Summed from +0.0 in round order,
-    this gives the bits of the summed per-round :func:`estimate_b` values.
+    this gives the bits of the per-round estimates summed one by one.
     """
     own = learners[played]
     own.f = list(map(add, own.f, own.tables.top[symbol]))

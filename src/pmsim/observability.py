@@ -7,6 +7,10 @@ observed signals into unbiased loss-difference estimates, so its existence
 for every neighboring pair is exactly what the learner needs.  We always pick
 the minimum-norm solution: it is unique, reproducible, and minimizes the
 constant that scales the regret guarantee.
+
+The first ``s_i`` entries of v, one per symbol of action i, read i's own
+signal, and the rest read j's.  :func:`learner_tables` alone splits v there,
+into the tables the learners play from; everything else reads v whole.
 """
 
 from __future__ import annotations
@@ -28,30 +32,15 @@ _EPS = np.finfo(np.float64).eps  # np.linalg.lstsq's rcond=None is eps * max(M, 
 class ObserverVector:
     """Minimum-norm v with stacked(i, j)^T v ~ loss[j] - loss[i].
 
-    ``split`` is the number of leading coordinates belonging to action i's
-    symbols; the rest belong to action j.  ``residual`` is the sup-norm
-    defect of the linear system; the pair is observable iff it is below
-    REL_TOL relative to the target's magnitude.
+    ``residual`` is the sup-norm defect of the linear system; the pair is
+    observable iff it is below REL_TOL relative to the target's magnitude.
     """
 
     i: int
     j: int
     v: np.ndarray
-    split: int
     residual: float
     observable: bool
-
-    @property
-    def top(self) -> np.ndarray:
-        return self.v[:self.split]
-
-    @property
-    def bottom(self) -> np.ndarray:
-        return self.v[self.split:]
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.v).max())
 
 
 class LearnerTables(NamedTuple):
@@ -77,9 +66,6 @@ class ObservabilityReport:
     v_bar: float
     l_bar: float
     learner_tables: list[LearnerTables]  # by action
-
-    def observer(self, i: int, j: int) -> ObserverVector:
-        return self.per_pair[(i, j)]
 
     def unobservable_pairs(self) -> list[tuple[int, int]]:
         return sorted(p for p, ov in self.per_pair.items() if not ov.observable)
@@ -143,18 +129,10 @@ def solve_pairs(game: Game, pairs: list[tuple[int, int]]) -> list[ObserverVector
     v = lstsq_stack(a, target)
     residual = np.abs(np.matmul(a, v[..., None])[..., 0] - target).max(axis=1).tolist()
     scale = np.abs(target).max(axis=1).tolist()
-    split = game.signal_matrix(ii[0]).n_symbols
     v *= unit
-    return [ObserverVector(i=i, j=j, v=v[k], split=split, residual=residual[k] * unit,
+    return [ObserverVector(i=i, j=j, v=v[k], residual=residual[k] * unit,
                            observable=residual[k] <= REL_TOL * (1.0 + scale[k]))
             for k, (i, j) in enumerate(pairs)]
-
-
-def solve_observer(game: Game, i: int, j: int) -> ObserverVector:
-    """Least-squares observer for the ordered pair (i, j)."""
-    if i == j:
-        raise ValueError("observer vectors are defined for distinct actions")
-    return solve_pairs(game, [(i, j)])[0]
 
 
 def learner_tables(game: Game, graph: NeighborhoodGraph,
@@ -188,7 +166,8 @@ def check_game(game: Game, graph: NeighborhoodGraph) -> ObservabilityReport:
     solved = {(ov.i, ov.j): ov for group in groups.values() for ov in solve_pairs(game, group)}
     per_pair = {p: solved[p] for p in pairs}
     observable = all(ov.observable for ov in per_pair.values())
-    v_bar = max((ov.sup_norm for ov in per_pair.values() if ov.observable), default=0.0)
+    v_bar = max((float(np.abs(ov.v).max()) for ov in per_pair.values() if ov.observable),
+                default=0.0)
     return ObservabilityReport(
         per_pair=per_pair,
         locally_observable=observable,

@@ -1,16 +1,44 @@
 """Shared Monte-Carlo machinery for estimator unbiasedness checks.
 
 Distributions are frozen: every round draws (k, I, signal) from the same
-stationary pair (p, Q) against a fixed outcome, feeds the real estimator
-code, and collects the per-round estimates for each requested pair.  The
-draws are generated vectorized for speed; the estimates themselves go
-through the production ``estimate_b`` one round at a time.
+stationary pair (p, Q) against a fixed outcome, and collects the per-round
+estimates for each requested pair.  The draws are generated vectorized for
+speed; the estimates themselves go through :func:`estimate_b` one round at a
+time, which reads the learners' own observer tables, the ones the engine
+plays from.
 """
+
+from statistics import NormalDist
 
 import numpy as np
 
 from pmsim.engine import fixed_point
-from pmsim.learner import estimate_b, make_learner
+from pmsim.learner import make_learner
+
+
+def estimate_b(state, k, played, symbol, q, j):
+    """One round's estimate of neighbor ``j``'s loss minus the owner's, from ``state``'s tables.
+
+    Only two kinds of round contribute: rounds where the owner's own action
+    was played (its top table reads the signal), and rounds where the owner
+    was the sampled neighborhood ``k`` and ``j`` was played (``j``'s bottom
+    block, importance-weighted by ``q[j]``, the owner's distribution in force
+    that round).  Summed from +0.0 in round order, these are the bits of the
+    running costs :func:`pmsim.learner.add_round` keeps.
+    """
+    i = state.action
+    if j == i:
+        return 0.0  # an action against itself has relative cost zero
+    tables = state.tables
+    b = 0.0
+    if played == i:
+        b += tables.top[symbol][tables.neighbors.index(j)]
+    if k == i and played == j:
+        qj = q[j]
+        if qj <= 0.0:
+            raise RuntimeError(f"learner {i} sampled neighbor {j} with zero probability")
+        b += tables.bottom[j][1][symbol] / qj
+    return b
 
 
 def frozen_setup(game, observers, qs):
@@ -36,7 +64,7 @@ def _inverse_cdf(cum_rows, us):
     return np.where(idx < cum_rows.shape[1], idx, last_positive)
 
 
-def simulate_estimates(game, observers, states, qs, p, pairs, outcome, n_rounds, seed):
+def simulate_estimates(game, states, qs, p, pairs, outcome, n_rounds, seed):
     """Sample ``n_rounds`` frozen rounds; return pair -> array of b values."""
     rng = np.random.default_rng(seed)
     cum_q = np.cumsum(np.vstack(qs), axis=1)
@@ -58,7 +86,7 @@ def simulate_estimates(game, observers, states, qs, p, pairs, outcome, n_rounds,
     for r in range(n_rounds):
         k, a, sym = ks_l[r], actions_l[r], symbols_l[r]
         for (i, j) in pairs:
-            samples[(i, j)][r] = estimate_b(states[i], k, a, sym, qs[i], observers, j)
+            samples[(i, j)][r] = estimate_b(states[i], k, a, sym, qs[i], j)
     return samples
 
 
@@ -67,14 +95,26 @@ def expected_b(game, p, i, j, outcome):
     return p[i] * (game.loss[j, outcome] - game.loss[i, outcome])
 
 
+def family_band(n_tests, error=1e-3):
+    """Half-width, in SE, of a two-sided normal band with family-wise ``error`` over ``n_tests``.
+
+    Bonferroni: each mean gets ``error / n_tests``, so all of them, if unbiased,
+    stay inside with probability at least ``1 - error``.
+    """
+    return NormalDist().inv_cdf(1.0 - error / (2 * n_tests))
+
+
 def check_unbiased(game, graph, observers, qs, n_rounds, seed, tol_se=4.0):
-    """Assert every neighbor pair's empirical mean sits in the 4-SE band."""
+    """Assert every neighbor pair's empirical mean sits in the ``tol_se``-SE band, per outcome.
+
+    Returns the largest deviation seen, in SE.
+    """
     states, qs, p = frozen_setup(game, observers, qs)
     pairs = graph.neighbor_pairs()
     worst = 0.0
     for outcome in range(game.n_outcomes):
         samples = simulate_estimates(
-            game, observers, states, qs, p, pairs, outcome, n_rounds, seed + outcome)
+            game, states, qs, p, pairs, outcome, n_rounds, seed + outcome)
         for pair, values in samples.items():
             target = expected_b(game, p, pair[0], pair[1], outcome)
             se = values.std(ddof=1) / np.sqrt(n_rounds)

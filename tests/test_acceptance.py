@@ -5,11 +5,13 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The horizon sweeps
 ``slow``: ``pytest -m "not slow"`` runs every other test.
 """
 
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from _mc import check_unbiased
+from _mc import check_unbiased, family_band
 
 from pmsim import (
     DegenerateGameError,
@@ -25,13 +27,15 @@ from pmsim import (
     resolve_game,
     run_experiment,
     second_best,
-    solve_observer,
     theorem_bound,
 )
 from pmsim.harness import make_adversary
 from pmsim.learner import exp_weights_step
+from pmsim.observability import solve_pairs
 
 pytestmark = pytest.mark.slow
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 HORIZONS = [1000, 4000, 16000, 64000]
 SEEDS = 20
@@ -91,9 +95,38 @@ def test_criterion_2_estimator_unbiasedness():
     _ok(2, f"estimator means within 4 SE (worst {worst:.2f} SE, {elapsed:.1f}s)")
 
 
+@pytest.mark.parametrize("name", ["noisy_voronoi_n8.json", "voronoi_n16.json"])
+def test_criterion_2_unbiased_on_proper_neighbor_sets(name):
+    """Criterion 2 where the paper's guarantee matters: N >= 3, neighbor sets short of all actions.
+
+    ``noisy_voronoi_n8`` has random signals; ``voronoi_n16`` has 178 ordered
+    neighbor pairs over 6 outcomes.  Each action's q is spread over its own
+    neighbor set, half uniform and half a Dirichlet draw, so the
+    importance weights differ by neighbor.  Every (pair, outcome) mean must sit
+    within the family-wise band: the two-sided normal quantile at family-wise
+    error 1e-3 over all of the game's (pair, outcome) tests, Bonferroni, about
+    4.9 SE for ``voronoi_n16``'s 1068 tests and 4.5 SE for ``noisy_voronoi_n8``'s
+    160.  A per-test 4 SE band would be crossed by chance in so many tests.
+    """
+    start = time.perf_counter()
+    game, graph, observers = _setup(os.path.join(DATA, name))
+    rng = np.random.default_rng(21)
+    qs = []
+    for nbrs in graph.neighbors:
+        nbrs = sorted(nbrs)
+        q = np.zeros(game.n_actions)
+        q[nbrs] = 0.5 / len(nbrs) + 0.5 * rng.dirichlet(np.ones(len(nbrs)))
+        qs.append(q)
+    band = family_band(len(graph.neighbor_pairs()) * game.n_outcomes)
+    worst = check_unbiased(game, graph, observers, qs, n_rounds=40_000, seed=2100, tol_se=band)
+    elapsed = time.perf_counter() - start
+    _ok(2, f"{name}: estimator means within the family-wise {band:.2f} SE band "
+           f"(worst {worst:.2f} SE, {elapsed:.1f}s)")
+
+
 def test_criterion_3_observability_classification():
     bandit, _, bandit_report = _setup("bandit_mp")
-    v = solve_observer(bandit, 0, 1)
+    v = solve_pairs(bandit, [(0, 1)])[0]
     np.testing.assert_allclose(v.v, [0.5, -0.5, 0.5, -0.5], atol=1e-9)
     pinv = np.linalg.pinv(bandit.stacked_signal_matrix(0, 1).T) @ (
         bandit.loss[1] - bandit.loss[0])
@@ -102,7 +135,7 @@ def test_criterion_3_observability_classification():
 
     apple, _, apple_report = _setup("apple_tasting")
     assert apple_report.locally_observable
-    assert solve_observer(apple, 0, 1).sup_norm == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(solve_pairs(apple, [(0, 1)])[0].v).max() == pytest.approx(1.0, abs=1e-9)
 
     label, _, label_report = _setup("label_efficient")
     assert not label_report.locally_observable
@@ -217,7 +250,7 @@ def test_criterion_9_determinism(tmp_path):
             game="bandit_mp_random", adversary="iid:0.3,0.7", horizons=[500],
             seeds=2, out_dir=str(tmp_path / attempt))
         result = run_experiment(config)
-        blobs.append([open(p, "rb").read() for p in sorted(result.csv_paths)])
+        blobs.append([Path(p).read_bytes() for p in sorted(result.csv_paths)])
     assert blobs[0] == blobs[1]
     _ok(9, "identical config and seeds give byte-identical CSV output")
 

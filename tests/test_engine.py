@@ -379,8 +379,9 @@ def test_fixed_point_matches_the_ufunc_reductions(monkeypatch):
     assert fallbacks
 
 
-@pytest.mark.parametrize("name", ["voronoi_n16.json", "bandit3.json", "full_info_3x3",
-                                  "bandit_mp", "apple_tasting", "bandit_mp_random"])
+@pytest.mark.parametrize("name", ["voronoi_n16.json", "noisy_voronoi_n8.json", "bandit3.json",
+                                  "full_info_3x3", "bandit_mp", "apple_tasting",
+                                  "bandit_mp_random"])
 @pytest.mark.parametrize("adversary, gamma", [("adaptive", "auto"), ("adaptive", 0.0),
                                               ("uniform", "auto")])
 def test_flow_system_tracks_q_every_round(name, adversary, gamma, monkeypatch):

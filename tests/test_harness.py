@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,10 +81,10 @@ def test_run_experiment_tiny(tmp_path):
                               seeds=1, out_dir=str(tmp_path))
     result = run_experiment(config)
     assert len(result.csv_paths) == 1
-    lines = open(result.csv_paths[0]).read().splitlines()
+    lines = Path(result.csv_paths[0]).read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 11  # header + one row per round
-    summary = json.loads(open(result.summary_path).read())
+    summary = json.loads(Path(result.summary_path).read_text())
     assert summary["game"] == "bandit_mp"
     assert summary["N"] == 2 and summary["M"] == 2
     assert summary["horizons"] == [10]
@@ -95,7 +96,7 @@ def test_run_experiment_checkpoint_rows(tmp_path):
     config = ExperimentConfig(game="bandit_mp", horizons=[50], seeds=[3],
                               checkpoints=[10, 50], out_dir=str(tmp_path))
     result = run_experiment(config)
-    lines = open(result.csv_paths[0]).read().splitlines()
+    lines = Path(result.csv_paths[0]).read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "10" and lines[2].split(",")[0] == "50"
 
@@ -117,8 +118,7 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
         config = ExperimentConfig(game="bandit_mp_random", adversary="iid:0.3,0.7",
                                   horizons=[60], seeds=2, out_dir=str(tmp_path / sub))
         result = run_experiment(config)
-        outs.append([open(p, "rb").read() for p in result.csv_paths]
-                    + [open(result.summary_path, "rb").read()])
+        outs.append([Path(p).read_bytes() for p in result.csv_paths + [result.summary_path]])
     assert outs[0] == outs[1]
 
 

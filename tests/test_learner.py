@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from _mc import check_unbiased
+from _mc import check_unbiased, estimate_b
 from conftest import gated_report
 
 import pmsim.engine
@@ -13,7 +13,6 @@ from pmsim.games import load_game
 from pmsim.learner import (
     LearnerState,
     add_round,
-    estimate_b,
     exp_weights_step,
     invoke,
     make_learner,
@@ -48,8 +47,8 @@ def test_estimate_b_zero_when_uninvolved(bandit_setup):
     game, graph, obs = bandit_setup
     state = _learners(graph, obs, eta=0.1, gamma=0.1)[0]
     sym = _symbol(game, 1, 0)  # I != 0 and k != 0
-    assert estimate_b(state, 1, 1, sym, state.q, obs, 0) == 0.0
-    assert estimate_b(state, 1, 1, sym, state.q, obs, 1) == 0.0
+    assert estimate_b(state, 1, 1, sym, state.q, 0) == 0.0
+    assert estimate_b(state, 1, 1, sym, state.q, 1) == 0.0
 
 
 def test_estimate_b_importance_weighted_branch(bandit_setup):
@@ -58,24 +57,26 @@ def test_estimate_b_importance_weighted_branch(bandit_setup):
     sym = _symbol(game, 1, 0)
     q = np.array([0.75, 0.25])
     # own-action block silent; neighbor block reads signal "1" (index 0 of row 1)
-    expected = obs.observer(0, 1).bottom[sym] / 0.25
-    assert estimate_b(state, 0, 1, sym, q, obs, 1) == pytest.approx(expected)
-    assert estimate_b(state, 0, 1, sym, q, obs, 0) == 0.0  # self-estimate always zero
+    expected = state.tables.bottom[1][1][sym] / 0.25
+    assert expected != 0.0
+    assert estimate_b(state, 0, 1, sym, q, 1) == expected
+    assert estimate_b(state, 0, 1, sym, q, 0) == 0.0  # self-estimate always zero
 
 
 def test_estimate_b_own_play_branch(bandit_setup):
     game, graph, obs = bandit_setup
     state = _learners(graph, obs, eta=0.1, gamma=0.1)[0]
     sym = _symbol(game, 0, 1)
-    expected = obs.observer(0, 1).top[sym]
-    assert estimate_b(state, 1, 0, sym, state.q, obs, 1) == pytest.approx(expected)
+    expected = state.tables.top[sym][state.tables.neighbors.index(1)]
+    assert expected != 0.0
+    assert estimate_b(state, 1, 0, sym, state.q, 1) == expected
 
 
 def test_estimate_b_zero_probability_is_fatal(bandit_setup):
     game, graph, obs = bandit_setup
     state = _learners(graph, obs, eta=0.1, gamma=0.0)[0]
     with pytest.raises(RuntimeError, match="zero probability"):
-        estimate_b(state, 0, 1, _symbol(game, 1, 0), np.array([1.0, 0.0]), obs, 1)
+        estimate_b(state, 0, 1, _symbol(game, 1, 0), np.array([1.0, 0.0]), 1)
 
 
 def test_estimate_b_uses_snapshot_not_current_q(bandit_setup):
@@ -83,8 +84,8 @@ def test_estimate_b_uses_snapshot_not_current_q(bandit_setup):
     state = _learners(graph, obs, eta=0.1, gamma=0.1)[0]
     sym = _symbol(game, 1, 0)
     state.q = np.array([0.99, 0.01])  # the round's own q is passed, not the learner's
-    expected = obs.observer(0, 1).bottom[sym] / 0.5
-    assert estimate_b(state, 0, 1, sym, np.array([0.5, 0.5]), obs, 1) == pytest.approx(expected)
+    expected = state.tables.bottom[1][1][sym] / 0.5
+    assert estimate_b(state, 0, 1, sym, np.array([0.5, 0.5]), 1) == expected
 
 
 def test_aggregate_two_hand_computed_rounds(bandit_setup):
@@ -115,7 +116,7 @@ EXACTNESS_GAMES = [e.name for e in catalog() if e.expected_observable] + [
 
 @pytest.mark.parametrize("name", EXACTNESS_GAMES)
 def test_running_costs_equal_summed_estimates(name, monkeypatch):
-    """Before every invocation, f is the round-order sum of estimate_b, bit for bit."""
+    """Before every invocation, f is the round-order sum of ``_mc.estimate_b``, bit for bit."""
     monkeypatch.chdir(DATA)
     game, _ = resolve_game(name)
     horizon = 150 if game.n_actions > 3 else 400
@@ -127,9 +128,10 @@ def test_running_costs_equal_summed_estimates(name, monkeypatch):
 
     def checking_invoke(state, observers):
         for pos, j in enumerate(state.tables.neighbors):
-            expected = sum(estimate_b(state, int(tr.k[t - 1]), int(tr.action[t - 1]),
-                                      int(tr.symbol[t - 1]), state.q, observers, j)
-                           for t in state.buffer)
+            expected = 0.0
+            for t in state.buffer:
+                expected += estimate_b(state, int(tr.k[t - 1]), int(tr.action[t - 1]),
+                                       int(tr.symbol[t - 1]), state.q, j)
             assert state.f[pos] == expected, (name, engine.t, state.action, j)
         checked.append(len(state.buffer))
         return real_invoke(state, observers)
