@@ -18,12 +18,12 @@ for entry in catalog():
     if geometry.dominated_actions:
         print(f"  note: dominated action(s) {geometry.dominated_actions} "
               "-- classification only, the learner gate would refuse this game")
-    for (i, j) in sorted(report.per_pair):
-        ov = report.per_pair[(i, j)]
-        if ov.observable:
-            print(f"  pair ({i},{j}): v = {ov.v.round(6)}, |v|_inf = {np.abs(ov.v).max():.3f}")
+    for (i, j), v, residual, observable in zip(report.pairs, report.v, report.residual,
+                                               report.observable):
+        if observable:
+            print(f"  pair ({i},{j}): v = {v.round(6)}, |v|_inf = {np.abs(v).max():.3f}")
         else:
-            print(f"  pair ({i},{j}): UNOBSERVABLE (residual {ov.residual:.3f})")
+            print(f"  pair ({i},{j}): UNOBSERVABLE (residual {residual:.3f})")
     if report.locally_observable:
         print(f"  v_bar = {report.v_bar:.6f}, l_bar = {report.l_bar}")
     print()

@@ -36,15 +36,15 @@ from .harness import (
     resolve_game,
     run_experiment,
 )
-from .observability import ObservabilityReport, ObserverVector, check_game
+from .observability import ObservabilityReport, check_game
 from .regret import RegretCurves, RegretReport, regret_curves, regret_report, theorem_bound
 
 __all__ = [
     "AdaptiveWorst", "CatalogEntry", "DegenerateGameError", "DominatedActionError",
     "Engine", "EngineConfig", "ExperimentConfig", "FixedPointError", "FixedSequence",
     "Game", "GameFormatError", "IID", "NeighborhoodGraph", "NotLocallyObservableError",
-    "ObservabilityReport", "ObserverVector", "PmsimError", "RegretCurves", "RegretReport",
-    "SignalMatrix", "Transcript", "analyze_geometry",
+    "ObservabilityReport", "PmsimError", "RegretCurves", "RegretReport", "SignalMatrix",
+    "Transcript", "analyze_geometry",
     "auto_eta", "auto_gamma", "best_response", "build_graph", "catalog",
     "cell_margin", "check_game", "fit_slope", "fixed_point", "load_game",
     "make_adversary", "pair_margin", "parse_game", "regret_curves", "regret_report",

@@ -12,6 +12,8 @@ interface between the game and the learning machinery.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -47,6 +49,12 @@ class SignalMatrix:
         return len(self.symbols)
 
 
+def _is_finite_number(x: Any) -> bool:
+    """A finite real number, and not a bool, which ``float`` would read as 0 or 1."""
+    # compared, not converted: an int beyond the float range is not finite either
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _as_loss_matrix(loss: Any) -> np.ndarray:
     if isinstance(loss, (list, tuple)):
         width = None
@@ -59,6 +67,10 @@ def _as_loss_matrix(loss: Any) -> np.ndarray:
                 raise GameFormatError(
                     f"loss row {r + 1} has {len(row)} entries, expected {width}"
                 )
+            for c, x in enumerate(row):
+                if not _is_finite_number(x):
+                    raise GameFormatError(
+                        f"loss row {r + 1} col {c + 1}: {x!r} is not a finite number")
     try:
         L = np.asarray(loss, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -97,7 +109,10 @@ def _random_signal_matrix(i: int, row: Sequence[dict[str, float]], M: int) -> Si
             raise GameFormatError(f"row {i + 1} col {j + 1}: expected a symbol->weight mapping")
         total = 0.0
         for sym in sorted(cell):
-            w = float(cell[sym])
+            w = cell[sym]
+            if not _is_finite_number(w):
+                raise GameFormatError(f"row {i + 1} col {j + 1}: weight {w!r} for symbol "
+                                      f"{sym!r} is not a finite number")
             if w < 0:
                 raise GameFormatError(
                     f"row {i + 1} col {j + 1}: negative weight {w:.12g} for symbol {sym!r}"

@@ -10,7 +10,8 @@ constant that scales the regret guarantee.
 
 The first ``s_i`` entries of v, one per symbol of action i, read i's own
 signal, and the rest read j's.  :func:`learner_tables` alone splits v there,
-into the tables the learners play from; everything else reads v whole.
+into the tables the learners play from; ``v_bar`` and the report's
+:meth:`~ObservabilityReport.to_dict` read each v whole.
 """
 
 from __future__ import annotations
@@ -26,21 +27,6 @@ from .geometry import NeighborhoodGraph, loss_unit
 
 REL_TOL = 1e-8
 _EPS = np.finfo(np.float64).eps  # np.linalg.lstsq's rcond=None is eps * max(M, N)
-
-
-@dataclass(frozen=True)
-class ObserverVector:
-    """Minimum-norm v with stacked(i, j)^T v ~ loss[j] - loss[i].
-
-    ``residual`` is the sup-norm defect of the linear system; the pair is
-    observable iff it is below REL_TOL relative to the target's magnitude.
-    """
-
-    i: int
-    j: int
-    v: np.ndarray
-    residual: float
-    observable: bool
 
 
 class LearnerTables(NamedTuple):
@@ -61,31 +47,32 @@ class LearnerTables(NamedTuple):
 
 @dataclass
 class ObservabilityReport:
-    per_pair: dict[tuple[int, int], ObserverVector]
+    """One row per neighboring pair, in ``graph.neighbor_pairs()`` order.
+
+    Row k is ``pairs[k] = (i, j)``: the minimum-norm ``v[k]`` with
+    ``stacked(i, j)^T v ~ loss[j] - loss[i]``, the sup-norm defect
+    ``residual[k]`` of that system, and ``observable[k]``, whether the defect
+    is below REL_TOL relative to the target's magnitude.
+    """
+
+    pairs: list[tuple[int, int]]
+    v: tuple[np.ndarray, ...]  # ragged: s_i + s_j entries
+    residual: np.ndarray  # float64
+    observable: np.ndarray  # bool
     locally_observable: bool
     v_bar: float
     l_bar: float
     learner_tables: list[LearnerTables]  # by action
 
     def unobservable_pairs(self) -> list[tuple[int, int]]:
-        return sorted(p for p, ov in self.per_pair.items() if not ov.observable)
+        return [p for p, ok in zip(self.pairs, self.observable.tolist()) if not ok]
 
     def to_dict(self) -> dict:
-        return {
-            "locally_observable": self.locally_observable,
-            "v_bar": self.v_bar,
-            "l_bar": self.l_bar,
-            "pairs": [
-                {
-                    "i": ov.i,
-                    "j": ov.j,
-                    "observable": ov.observable,
-                    "residual": ov.residual,
-                    "v": ov.v.tolist() if ov.observable else None,
-                }
-                for ov in (self.per_pair[p] for p in sorted(self.per_pair))
-            ],
-        }
+        rows = zip(self.pairs, self.v, self.residual.tolist(), self.observable.tolist())
+        return {"locally_observable": self.locally_observable, "v_bar": self.v_bar,
+                "l_bar": self.l_bar,
+                "pairs": [{"i": i, "j": j, "observable": ok, "residual": r,
+                           "v": v.tolist() if ok else None} for (i, j), v, r, ok in rows]}
 
 
 def _svd_failed(err, flag):
@@ -107,15 +94,16 @@ def lstsq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def solve_pairs(game: Game, pairs: list[tuple[int, int]]) -> list[ObserverVector]:
-    """Least-squares observers of ordered pairs (i, j), all with the same symbol counts.
+def solve_pairs(game: Game, pairs: list[tuple[int, int]]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares observers ``(v, residual, observable)`` of ordered pairs (i, j), as arrays.
 
     Every i has the same number of symbols, and so has every j, so the pairs'
     stacked signal matrices have one shape: they are solved as one stack, and
     every residual ``|stacked(i, j)^T v - target|`` comes from one batched
     product.  They are solved and tested on the loss divided by its
     :func:`~pmsim.geometry.loss_unit`, and ``v`` and the residual are reported
-    in the game's units.
+    in the game's units.  Row k of each array is ``pairs[k]``.
     """
     ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
     rows = [game.signal_matrix(a).matrix for a in range(game.n_actions)]
@@ -127,25 +115,21 @@ def solve_pairs(game: Game, pairs: list[tuple[int, int]]) -> list[ObserverVector
     loss = game.loss / unit
     target = loss[jj] - loss[ii]
     v = lstsq_stack(a, target)
-    residual = np.abs(np.matmul(a, v[..., None])[..., 0] - target).max(axis=1).tolist()
-    scale = np.abs(target).max(axis=1).tolist()
-    v *= unit
-    return [ObserverVector(i=i, j=j, v=v[k], residual=residual[k] * unit,
-                           observable=residual[k] <= REL_TOL * (1.0 + scale[k]))
-            for k, (i, j) in enumerate(pairs)]
+    residual = np.abs(np.matmul(a, v[..., None])[..., 0] - target).max(axis=1)
+    observable = residual <= REL_TOL * (1.0 + np.abs(target).max(axis=1))
+    return v * unit, residual * unit, observable
 
 
-def learner_tables(game: Game, graph: NeighborhoodGraph,
-                   per_pair: dict[tuple[int, int], ObserverVector]) -> list[LearnerTables]:
-    """Each action's :class:`LearnerTables`, read from its observers."""
+def learner_tables(game: Game, graph: NeighborhoodGraph, v: list) -> list[LearnerTables]:
+    """Each action's :class:`LearnerTables`, read from the rows ``v`` of the pair table."""
+    rows = iter(v)
     tables = []
     for i, nbrs in enumerate(graph.neighbors):
-        nbrs = tuple(sorted(nbrs))
-        v = {j: per_pair[(i, j)].v.tolist() for j in nbrs if j != i}
         split = game.signal_matrix(i).n_symbols
-        own = (0.0,) * split
-        top = tuple(zip(*[v[j][:split] if j != i else own for j in nbrs]))
-        bottom = {j: (pos, tuple(v[j][split:])) for pos, j in enumerate(nbrs) if j != i}
+        vi = {j: next(rows).tolist() if j != i else [0.0] * split for j in nbrs}
+        nbrs = tuple(sorted(nbrs))
+        top = tuple(zip(*[vi[j][:split] for j in nbrs]))
+        bottom = {j: (pos, tuple(vi[j][split:])) for pos, j in enumerate(nbrs) if j != i}
         tables.append(LearnerTables(nbrs, top, bottom))
     return tables
 
@@ -156,22 +140,22 @@ def check_game(game: Game, graph: NeighborhoodGraph) -> ObservabilityReport:
     Each learner consumes its own orientation of a pair, so (i, j) and (j, i)
     are solved separately even though one is the block-swapped negation of
     the other.  Pairs are solved in stacks, one per pair of symbol counts,
-    and the report carries every learner's tables, read from the result.
+    whose rows are written into the report's table; the report also carries
+    every learner's tables, read from it.
     """
     pairs = graph.neighbor_pairs()
     symbols = [game.signal_matrix(a).n_symbols for a in range(game.n_actions)]
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j in pairs:
-        groups.setdefault((symbols[i], symbols[j]), []).append((i, j))
-    solved = {(ov.i, ov.j): ov for group in groups.values() for ov in solve_pairs(game, group)}
-    per_pair = {p: solved[p] for p in pairs}
-    observable = all(ov.observable for ov in per_pair.values())
-    v_bar = max((float(np.abs(ov.v).max()) for ov in per_pair.values() if ov.observable),
-                default=0.0)
-    return ObservabilityReport(
-        per_pair=per_pair,
-        locally_observable=observable,
-        v_bar=v_bar,
-        l_bar=float(np.abs(game.loss).max()),
-        learner_tables=learner_tables(game, graph, per_pair),
-    )
+    groups: dict[tuple[int, int], list[int]] = {}  # (s_i, s_j) -> rows of the table
+    for k, (i, j) in enumerate(pairs):
+        groups.setdefault((symbols[i], symbols[j]), []).append(k)
+    v: list[np.ndarray] = [None] * len(pairs)
+    residual, observable = np.empty(len(pairs)), np.empty(len(pairs), dtype=bool)
+    v_bar = 0.0
+    for rows in groups.values():
+        stack, residual[rows], observable[rows] = solve_pairs(game, [pairs[k] for k in rows])
+        for k, row in zip(rows, stack):
+            v[k] = row
+        v_bar = max(v_bar, float(np.abs(stack[observable[rows]]).max(initial=0.0)))
+    return ObservabilityReport(pairs, tuple(v), residual, observable, bool(observable.all()),
+                               v_bar, float(np.abs(game.loss).max()),
+                               learner_tables(game, graph, v))

@@ -126,16 +126,16 @@ def test_criterion_2_unbiased_on_proper_neighbor_sets(name):
 
 def test_criterion_3_observability_classification():
     bandit, _, bandit_report = _setup("bandit_mp")
-    v = solve_pairs(bandit, [(0, 1)])[0]
-    np.testing.assert_allclose(v.v, [0.5, -0.5, 0.5, -0.5], atol=1e-9)
+    v = solve_pairs(bandit, [(0, 1)])[0][0]
+    np.testing.assert_allclose(v, [0.5, -0.5, 0.5, -0.5], atol=1e-9)
     pinv = np.linalg.pinv(bandit.stacked_signal_matrix(0, 1).T) @ (
         bandit.loss[1] - bandit.loss[0])
-    np.testing.assert_allclose(v.v, pinv, atol=1e-9)
+    np.testing.assert_allclose(v, pinv, atol=1e-9)
     assert bandit_report.locally_observable
 
     apple, _, apple_report = _setup("apple_tasting")
     assert apple_report.locally_observable
-    assert np.abs(solve_pairs(apple, [(0, 1)])[0].v).max() == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(solve_pairs(apple, [(0, 1)])[0][0]).max() == pytest.approx(1.0, abs=1e-9)
 
     label, _, label_report = _setup("label_efficient")
     assert not label_report.locally_observable

@@ -4,9 +4,15 @@
 if a refactor renames one, ``python3 bench/run.py`` fails before it measures
 anything.  This installs the tracer and the set-up clock around one short
 run, as a traced benchmark pass does, and checks what they recorded.
+
+The benchmark also reports ``correct=false`` when a workload's reference
+outputs no longer hash to ``bench/reference_digests.json``, and counts an
+operation whose checks fail.  The last test runs every workload's reference
+pass and checks both, so a refactor that would trip either fails here first.
 """
 
 import importlib
+import json
 import os
 
 import numpy as np
@@ -53,3 +59,19 @@ def test_tracer_and_setup_clock_wrap_a_run(tmp_path, monkeypatch):
     analyses, lp_calls = ((arr["name"] == tracer.names.index(name)).sum()
                           for name in ("geometry.analyze", "simplex.solve_lp"))
     assert analyses >= 1 and lp_calls >= analyses
+
+
+def test_workloads_pass_their_checks_and_match_the_reference_digests(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    monkeypatch.chdir(tmp_path)  # the workloads write under bench_out/
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets these on import; restore them afterwards
+    run, spans, workloads = (importlib.import_module(m) for m in ("run", "spans", "workloads"))
+    with open(os.path.join(BENCH, "reference_digests.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)
+    assert sorted(reference) == sorted(workloads.WORKLOADS)
+    for name, make in workloads.WORKLOADS.items():
+        ops = make(run.REFERENCE_SEED, os.path.join(run.OUT, name, "reference"))
+        for op in ops:
+            assert op.check(op.run(spans.NullTracer())) == [], name
+        assert run.digests(ops) == reference[name], name

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +17,7 @@ from pmsim.errors import FixedPointError, LPSolverError
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +38,29 @@ def test_check_unobservable_game(capsys):
     code, out, _ = run_cli(capsys, "check", "label_efficient")
     assert code == 3
     assert json.loads(out)["locally_observable"] is False
+
+
+def _dists(cell):
+    """Two-action bandit with random signals whose first cell is ``cell``."""
+    return {"loss": [[0, 1], [1, 0]], "signal_dists": [[cell, {"b": 1.0}],
+                                                        [{"a": 1.0}, {"b": 1.0}]]}
+
+
+@pytest.mark.parametrize("doc", [
+    _dists({"a": None}), _dists({"a": "0.5", "b": 0.5}), _dists({"a": float("nan")}),
+    _dists({"a": True}),
+    {"loss": [[0, 1], [1, "0"]], "signals": [["a", "b"], ["a", "b"]]},
+    {"loss": [[0, 1], [True, 0]], "signals": [["a", "b"], ["a", "b"]]},
+], ids=["null", "string", "nan", "true", "loss_string", "loss_true"])
+def test_check_refuses_entries_that_are_not_numbers(tmp_path, doc):
+    """``pm check`` exits 2 naming the row and column, with no traceback."""
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "pmsim.cli", "check", str(path)],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                          check=False)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith("pm: ") and " col " in proc.stderr and proc.stdout == ""
 
 
 def test_graph_output(capsys):

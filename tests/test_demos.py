@@ -1,7 +1,8 @@
-"""Every demo script runs to completion against the current library API."""
+"""Every demo script, and the README's quick start, runs against the current library API."""
 
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -20,5 +21,16 @@ SLOW = {"05_scaling_sweep.py"}  # about 6 s, and writes demo_out/
 def test_demo_runs(path, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, path], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    code = re.search(r"^## Library quick start\n.*?^```python\n(.*?)^```", readme,
+                     re.DOTALL | re.MULTILINE).group(1)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr

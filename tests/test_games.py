@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -45,9 +46,34 @@ def test_parse_bad_distribution_names_position():
     {"loss": [[0, 1], [1, 0]]},                                           # no feedback
     {"loss": [[0, 1], [1, 0]], "signals": [["a", "b"], ["a", "b"]],
      "signal_dists": [[{"a": 1.0}] * 2] * 2},                             # both kinds
+    {"loss": [[0, 1], [1, 0]],
+     "signal_dists": [[{"a": None}, {"a": 1.0}], [{"a": 1.0}] * 2]},      # weight null
+    {"loss": [[0, 1], [1, 0]], "signal_dists": [[{"a": 1.0}, {"a": "0.5", "b": 0.5}],
+                                                [{"a": 1.0}] * 2]},       # weight a string
+    {"loss": [[0, 1], [1, 0]], "signal_dists": [[{"a": 1.0}] * 2,
+                                                [{"a": 1.0}, {"a": float("nan")}]]},  # NaN
+    {"loss": [[0, 1], [1, 0]],
+     "signal_dists": [[{"a": True}, {"a": 1.0}], [{"a": 1.0}] * 2]},      # weight a bool
+    {"loss": [[0, 1], ["0", 0]], "signals": [["a", "b"], ["a", "b"]]},    # loss a string
+    {"loss": [[0, True], [1, 0]], "signals": [["a", "b"], ["a", "b"]]},   # loss a bool
+    {"loss": [[0, 10 ** 400], [1, 0]], "signals": [["a", "b"], ["a", "b"]]},  # beyond float
 ])
 def test_parse_rejects_malformed(doc):
     with pytest.raises(GameFormatError):
+        parse_game(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"loss": [[0, 1], [1, 0]], "signal_dists": [[{"a": 1.0}] * 2, [{"a": 1.0}, {"a": None}]]},
+     "row 2 col 2: weight None for symbol 'a'"),
+    ({"loss": [[0, 1], [1, 0]], "signal_dists": [[{"a": float("nan")}, {"a": 1.0}],
+                                                 [{"a": 1.0}] * 2]},
+     "row 1 col 1: weight nan for symbol 'a'"),
+    ({"loss": [[0, 1], [1, "0"]], "signals": [["a", "b"], ["a", "b"]]}, "loss row 2 col 2: '0'"),
+    ({"loss": [[0, 1], [True, 0]], "signals": [["a", "b"], ["a", "b"]]}, "loss row 2 col 1: True"),
+])
+def test_parse_names_the_entry_that_is_not_a_number(doc, where):
+    with pytest.raises(GameFormatError, match=f"^{re.escape(where)} is not a finite number$"):
         parse_game(json.dumps(doc))
 
 

@@ -185,14 +185,13 @@ def test_solved_observers_match_the_per_pair_solution(name):
     """``solve_pairs``'s v, residual and verdict are those of one ``np.linalg.lstsq`` per pair."""
     game = PIN_GAMES[name]
     for pairs in pairs_by_shape(game):
-        for (i, j), ov in zip(pairs, solve_pairs(game, pairs)):
+        for (i, j), got_v, got_residual, got_observable in zip(pairs, *solve_pairs(game, pairs)):
             stacked = game.stacked_signal_matrix(i, j)
             target = game.loss[j] - game.loss[i]
             v = np.linalg.lstsq(stacked.T, target, rcond=None)[0]
             residual = float(np.abs(stacked.T @ v - target).max())
-            assert (ov.i, ov.j) == (i, j)
-            assert ov.v.tobytes() == v.tobytes() and ov.residual.hex() == residual.hex()
-            assert ov.observable == (residual <= 1e-8 * (1.0 + float(np.abs(target).max())))
+            assert got_v.tobytes() == v.tobytes() and float(got_residual).hex() == residual.hex()
+            assert got_observable == (residual <= 1e-8 * (1.0 + float(np.abs(target).max())))
 
 
 @pytest.mark.parametrize("name", sorted(PIN_GAMES))

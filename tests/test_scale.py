@@ -36,8 +36,8 @@ def set_up(game):
     graph, report = analyze_geometry(game)
     observers = check_game(game, graph)
     margins = report.cell_margins.tolist() + [graph.margins[p] for p in sorted(graph.margins)]
-    pairs = [observers.per_pair[p] for p in sorted(observers.per_pair)]
-    values = margins + [x for ov in pairs for x in ov.v.tolist() + [ov.residual]]
+    values = margins + [x for v, residual in zip(observers.v, observers.residual.tolist())
+                        for x in v.tolist() + [residual]]
     return values, observers.v_bar
 
 
@@ -46,7 +46,7 @@ def verdicts(game):
     observers = check_game(game, graph)
     return (graph.neighbors, report.dominated_actions, report.degenerate_witnesses,
             observers.locally_observable,
-            sorted((p, ov.observable) for p, ov in observers.per_pair.items()))
+            list(zip(observers.pairs, observers.observable.tolist())))
 
 
 def hexes(values):
