@@ -1,7 +1,10 @@
 """Opponents generating the outcome sequence.
 
 Adversaries see only the public history (the player's past realized actions),
-never the sampling distributions or the player's randomness.  Each adversary
+never the sampling distributions or the player's randomness.  The engine
+hands an adversary that history one action at a time: each round's call
+gets the action played in the round before, so an adversary that reacts to
+more than the last action keeps its own record of them.  Each adversary
 draws from its own stream, seeded separately from the engine, so outcome
 sequences of non-reactive kinds do not shift when learner parameters change.
 """
@@ -25,7 +28,12 @@ class Adversary:
         self.game = game
         self.rng = rng
 
-    def next_outcome(self, t: int, history) -> int:
+    def next_outcome(self, t: int, last: int | None) -> int:
+        """The outcome of round ``t``; ``last`` is round t - 1's played action, None in round 1.
+
+        Called once per round, in round order, so the calls' ``last`` values
+        are the player's whole history.
+        """
         raise NotImplementedError
 
 
@@ -33,7 +41,7 @@ class FixedSequence(Adversary):
     def __init__(self, outcomes):
         self.outcomes = [int(j) for j in outcomes]
 
-    def next_outcome(self, t: int, history) -> int:
+    def next_outcome(self, t: int, last: int | None) -> int:
         if t > len(self.outcomes):
             raise IndexError(f"fixed outcome sequence exhausted at round {t}")
         return self.outcomes[t - 1]
@@ -48,7 +56,7 @@ class IID(Adversary):
             raise ValueError(f"not an outcome distribution: {dist!r}")
         self._cum = list(accumulate(self.dist.tolist()))
 
-    def next_outcome(self, t: int, history) -> int:
+    def next_outcome(self, t: int, last: int | None) -> int:
         return draw_index(self.rng, self._cum)
 
 
@@ -56,7 +64,9 @@ class AdaptiveWorst(Adversary):
     """Plays the outcome maximizing the player's loss over recent actions.
 
     ``window=None`` means the full history.  Ties go to the smallest outcome,
-    which also covers the empty-history first round.
+    which also covers the empty-history first round.  The totals stay
+    numpy's ``counts.dot(loss)``: a Python dot can differ in the last bit and
+    flip a near-tie.
     """
 
     def __init__(self, window: int | None = None):
@@ -68,16 +78,15 @@ class AdaptiveWorst(Adversary):
         super().bind(game, rng)
         self._counts = np.zeros(game.n_actions)
         self._recent: deque[int] = deque()
-        self._seen = 0
 
-    def next_outcome(self, t: int, history) -> int:
-        new = np.asarray(history[self._seen:]).tolist()  # Python ints, list or array history
-        self._seen = len(history)
-        for a in new:
-            self._counts[a] += 1
+    def next_outcome(self, t: int, last: int | None) -> int:
+        if last is not None:
+            counts = self._counts
+            counts[last] += 1
             if self.window is not None:
-                self._recent.append(a)
-                if len(self._recent) > self.window:
-                    self._counts[self._recent.popleft()] -= 1
+                recent = self._recent
+                recent.append(last)
+                if len(recent) > self.window:
+                    counts[recent.popleft()] -= 1
         totals = self._counts.dot(self.game.loss)
         return int(totals.argmax())  # the first maximum: ties go to the smallest outcome

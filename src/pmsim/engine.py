@@ -23,8 +23,8 @@ A round's cost is mostly numpy's per-call overhead on vectors of 2 to 16
 entries, so the round makes as few numpy calls as keep every bit.
 Elementwise arithmetic runs on Python floats, which round each sum, product
 and quotient as numpy does: the learners' ``x``, ``f`` and ``q`` are lists,
-and the engine samples I from ``q`` and writes it into Q as one.  The weight
-total follows numpy's pinned reduction order
+and the engine samples I from ``q`` and, for N >= 3, writes it into Q as one.
+The weight total follows numpy's pinned reduction order
 (:func:`~pmsim.learner.weight_total`), and so do the flow solve's sum of
 ``p`` and l1 of the residual.  ``np.exp``, ``solve1``, ``Q.dot`` and the
 flow solve's ``np.abs`` and ``np.maximum`` stay on numpy, as do the set-up's
@@ -34,6 +34,24 @@ that only accept or refuse, such as :func:`check_column` and the gate on
 ``min(p)``, use Python floats too.  Uniforms come a block at a time through
 :class:`BlockUniforms`, which returns the values and the order of one
 ``random()`` call per draw.
+
+The numpy calls of a round, by N:
+
+- N = 2: none in the flow solve.  There is no numpy Q: ``Engine.Q`` is the
+  list of Q's two columns, the learners' own ``q`` lists, which
+  :func:`~pmsim.learner.invoke` rewrites in place, and the balance equation
+  takes p, ``|Qp - p|``, its l1 and its linf on Python floats.  numpy's
+  ``dot`` uses fused multiply-adds where the CPU has them and these products
+  do not, so the residual, and only it, may differ in the last bit from
+  ``Q.dot``'s; it feeds nothing but the 1e-9 check and the engine's maxima.
+- N >= 3: the solve's ``Q - I`` and its last row, ``solve1``, two ``tolist`` of
+  p, the division by p's sum, ``Q.dot``, the subtraction, ``np.abs`` into
+  the residual buffer and its ``tolist`` (and ``np.maximum`` when ``min(p)``
+  is not positive), then the write of the invoked learner's column into Q.
+- Every N: ``np.exp`` in the invocation, the four transcript writes and,
+  against :class:`~pmsim.adversaries.AdaptiveWorst`, its count update,
+  ``dot`` and ``argmax``; the adversary is handed the previous round's
+  action, not a slice of the transcript.
 """
 
 from __future__ import annotations
@@ -127,12 +145,6 @@ def check_column(q: list[float], k: int) -> None:
         raise FixedPointError(f"non-stochastic column {k} (sum {total!r})")
 
 
-def check_columns(Q: np.ndarray) -> None:
-    """Refuse a Q any of whose columns is not a distribution (see :func:`check_column`)."""
-    for k, q in enumerate(Q.T.tolist()):
-        check_column(q, k)
-
-
 @functools.lru_cache(maxsize=None)
 def _identity(n: int) -> np.ndarray:
     """I_n, built once per n, read-only; its last row is the flow system's right-hand side."""
@@ -148,24 +160,36 @@ def flow_system(Q: np.ndarray) -> np.ndarray:
     return A
 
 
+def flow_inputs(columns: list[list[float]]):
+    """The ``(Q, residual)`` that :func:`fixed_point`'s engine form takes for Q's ``columns``.
+
+    N = 2: ``columns`` itself, the list of Q's two columns, and a list of two
+    floats.  N >= 3: Q as an array, for LAPACK, and an array buffer.
+    """
+    if len(columns) == 2:
+        return columns, [0.0, 0.0]
+    return np.column_stack(columns), np.empty(len(columns))
+
+
 @overload
 def fixed_point(Q: np.ndarray) -> np.ndarray: ...
 
 
 @overload
-def fixed_point(Q: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, float]: ...
+def fixed_point(Q, residual) -> tuple[list[float], float, float]: ...
 
 
 def fixed_point(Q, residual=None):
     """Stationary distribution p = Qp of a column-stochastic matrix.
 
-    Direct dense solve of the :func:`flow_system` of Q by the LAPACK gufunc
+    Two actions take the balance equation, on Python floats.  More take a
+    direct dense solve of the :func:`flow_system` of Q by the LAPACK gufunc
     under ``np.linalg.solve``.  When that system is singular (multiple
     stationary distributions) the gufunc returns NaN; then, or when the
-    solution fails the checks, falls back to :func:`_limit_from_uniform`, the
-    limit of the damped chain from the uniform vector, which also fixes the
-    tie-break between fixed points.  Two actions skip the solve: the balance
-    equation gives p.
+    solution fails the checks (or, for two actions, when neither moves mass
+    to the other), falls back to :func:`_limit_from_uniform`, the limit of
+    the damped chain from the uniform vector, which also fixes the tie-break
+    between fixed points.
 
     The checks and sums around the solve make no numpy reduction.  The gate
     is Python's ``min`` of p; ``np.maximum`` clamps p only when that minimum
@@ -178,30 +202,39 @@ def fixed_point(Q, residual=None):
     NaN-aware gate would have.
 
     Called with ``Q`` alone, checks every column, solves under its own
-    ``np.errstate``, so a singular system stays silent, and returns p.  The
-    engine, which checks each column as it writes it, passes a ``residual``
-    buffer instead and leaves the errstate to :meth:`Engine.run`; then the
-    buffer receives ``|Qp - p|`` for the returned p, and the call returns
-    ``(p, l1)`` with l1 the buffer's sum as a Python float.  Both forms share
-    this one module-level name, so a wrapper of it (``bench/spans.py``
-    traces ``pmsim.engine.fixed_point``) sees every round.
+    ``np.errstate``, so a singular system stays silent, and returns p as an
+    array.  The engine, which checks each column as it writes it, passes the
+    :func:`flow_inputs` of Q's columns instead and leaves the errstate to
+    :meth:`Engine.run`: for N = 2, the list of Q's columns and a list
+    ``residual``; for N >= 3, Q and an array ``residual``.  Then
+    ``residual`` receives ``|Qp - p|`` for the returned p, and the call
+    returns ``(p, l1, linf)``: p as a list and the residual's l1 and linf as
+    Python floats.  All forms share this one module-level name, so a wrapper
+    of it (``bench/spans.py`` traces ``pmsim.engine.fixed_point``) sees every
+    round.
     """
     if residual is None:
-        Q = np.asarray(Q, dtype=float)
-        check_columns(Q)
+        columns = np.asarray(Q, dtype=float).T.tolist()
+        for k, q in enumerate(columns):
+            check_column(q, k)
         with np.errstate(invalid="ignore"):
-            return fixed_point(Q, np.empty(Q.shape[0]))[0]
-    n = Q.shape[0]
+            return np.array(fixed_point(*flow_inputs(columns))[0])
 
-    if n == 2:
+    if len(residual) == 2:
         # balance equation: mass(2->1) * p1 = mass(1->2) * p0, on Python floats
-        a, b = max(Q.item(0, 1), 0.0), max(Q.item(1, 0), 0.0)
+        (q00, q10), (q01, q11) = Q
+        a, b = max(q01, 0.0), max(q10, 0.0)
         total = a + b
         if total > _DIRECT_TOL:
-            p = np.array([a / total, b / total])
-            np.abs(Q.dot(p) - p, out=residual)
-            return p, weight_total(residual.tolist())
+            p0, p1 = a / total, b / total
+            # unlike numpy's dot, no fused multiply-add: the last bit may differ
+            r0 = abs(q00 * p0 + q01 * p1 - p0)
+            r1 = abs(q10 * p0 + q11 * p1 - p1)
+            residual[0], residual[1] = r0, r1
+            return [p0, p1], r0 + r1, max(r0, r1)
+        Q = np.array(Q).T
     else:
+        n = Q.shape[0]
         p = _lapack_solve(flow_system(Q), _identity(n)[-1], signature="dd->d")  # NaN if singular
         pl = p.tolist()
         lo = min(pl)
@@ -212,19 +245,21 @@ def fixed_point(Q, residual=None):
                 p = np.maximum(p, 0.0)
                 pl = p.tolist()
             p /= weight_total(pl)
-            np.abs(Q.dot(p) - p, out=residual)
-            l1 = weight_total(residual.tolist())
+            rl = np.abs(Q.dot(p) - p, out=residual).tolist()
+            l1 = weight_total(rl)
             if l1 <= _DIRECT_TOL:
-                return p, l1
+                return p.tolist(), l1, max(rl)
 
     try:
         p = _limit_from_uniform(Q)
     except np.linalg.LinAlgError as exc:
         raise FixedPointError(f"no fixed point: {exc}") from None
-    l1 = float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
+    r = np.abs(Q.dot(p) - p)
+    residual[:] = rl = r.tolist()
+    l1 = float(np.add.reduce(r))
     if not l1 <= FLOW_TOL:
         raise FixedPointError(f"no fixed point within tolerance (residual {l1:.3e})")
-    return p, l1
+    return p.tolist(), l1, max(rl)
 
 
 def _limit_from_uniform(Q: np.ndarray) -> np.ndarray:
@@ -329,9 +364,13 @@ class Engine:
 
         n = game.n_actions
         self.learners = [make_learner(i, n, self.eta, self.gamma, observers) for i in range(n)]
-        self.Q = np.column_stack([lr.q for lr in self.learners])
-        check_columns(self.Q)  # from here on, each column is checked as it is written
-        self.residual = np.empty(n)  # |Qp - p| of the current round, from fixed_point
+        columns = [lr.q for lr in self.learners]
+        for k, q in enumerate(columns):
+            check_column(q, k)  # from here on, each column is checked as it is written
+        # Q and |Qp - p| of the current round as fixed_point takes them: lists for N = 2
+        self.Q, self.residual = flow_inputs(columns)
+        self.columns = columns if n == 2 else self.Q.T  # Q's columns, writable (Q.T is a view)
+        self.last_action: int | None = None  # the adversary's view of the previous round
         self.t = 0
         self.transcript = Transcript(*np.zeros((4, horizon), dtype=np.intp))
         self.max_flow_residual_l1 = 0.0
@@ -346,29 +385,29 @@ class Engine:
         if self.t >= self.horizon:
             raise RuntimeError("horizon exhausted")
         self.t += 1
-        p, l1 = fixed_point(self.Q, self.residual)
+        p, l1, linf = fixed_point(self.Q, self.residual)
         if l1 > self.max_flow_residual_l1:
             self.max_flow_residual_l1 = l1
-        if l1 > self.max_flow_residual_linf:  # else linf <= l1 cannot raise its maximum
-            self.max_flow_residual_linf = max(self.max_flow_residual_linf,
-                                              max(self.residual.tolist()))
+        if linf > self.max_flow_residual_linf:
+            self.max_flow_residual_linf = linf
         if l1 > FLOW_TOL:
             raise FixedPointError(f"flow condition violated at round {self.t}: {l1:.3e}")
         self.p = p
 
-        k = sample_index(self.rng, p.tolist())
+        k = sample_index(self.rng, p)
         a = sample_index(self.rng, self.learners[k].q)
-        tr = self.transcript
-        j = self.adversary.next_outcome(self.t, tr.action[:self.t - 1])
+        j = self.adversary.next_outcome(self.t, self.last_action)
         symbol = self.game.observe(a, j, self.rng)
 
         row = self.t - 1
+        tr = self.transcript
         tr.k[row], tr.action[row], tr.outcome[row], tr.symbol[row] = k, a, j, symbol
+        self.last_action = a
 
         add_round(self.learners, self.t, k, a, symbol)
         q = invoke(self.learners[k], self.observers).q
         check_column(q, k)
-        self.Q[:, k] = q
+        self.columns[k] = q
 
     def run(self) -> Transcript:
         """Play the remaining rounds under one ``np.errstate``, restored on exit.

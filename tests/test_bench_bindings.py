@@ -50,10 +50,12 @@ def test_tracer_and_setup_clock_wrap_a_run(tmp_path, monkeypatch):
     assert len(arr["buffer_len"]) == invokes
     assert 1.0 <= float(np.mean(arr["buffer_len"])) <= 3.0
     spans_of = {name: int((arr["name"] == tracer.names.index(name)).sum())
-                for name in ("engine.sample_index", "games.observe", "adversaries.next_outcome")}
-    # two draws (k, then I) through the module global, one signal and one move per round
-    assert spans_of == {"engine.sample_index": 400, "games.observe": 200,
-                        "adversaries.next_outcome": 200}
+                for name in ("engine.fixed_point", "engine.sample_index", "games.observe",
+                             "adversaries.next_outcome")}
+    # one flow solve (the N = 2 balance equation too) and two draws (k, then I) through
+    # the module globals, one signal and one move per round
+    assert spans_of == {"engine.fixed_point": 200, "engine.sample_index": 400,
+                        "games.observe": 200, "adversaries.next_outcome": 200}
     assert pmsim.engine.invoke is originals[[t[1] for t in spans.TARGETS].index("invoke")]
     # a stale binding of the solver would read 0 LP calls instead of failing
     analyses, lp_calls = ((arr["name"] == tracer.names.index(name)).sum()

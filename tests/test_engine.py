@@ -25,7 +25,7 @@ from pmsim import (
     resolve_game,
     run,
 )
-from pmsim.engine import FLOW_TOL, UNIFORM_BLOCK, flow_system, sample_index
+from pmsim.engine import FLOW_TOL, UNIFORM_BLOCK, flow_inputs, flow_system, sample_index
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -48,6 +48,14 @@ def test_fixed_point_identity_ties_to_uniform():
         p = fixed_point(np.eye(3))
     np.testing.assert_allclose(p, [1 / 3] * 3, atol=1e-12)
     assert np.geterr() == before
+
+
+def test_balance_without_flow_between_the_states_falls_back():
+    """Two absorbing states: the N = 2 engine form takes the fallback and fills its list buffer."""
+    columns, residual = flow_inputs([[1.0, 0.0], [0.0, 1.0]])
+    p, l1, linf = fixed_point(columns, residual)
+    assert p == [0.5, 0.5] and l1 == linf == 0.0 and residual == [0.0, 0.0]
+    np.testing.assert_array_equal(fixed_point(np.eye(2)), [0.5, 0.5])
 
 
 def test_fixed_point_reducible_fallback():
@@ -217,7 +225,7 @@ class CyclingOutcomes:
     def bind(self, game, rng=None):
         self.game = game
 
-    def next_outcome(self, t, history):
+    def next_outcome(self, t, last):
         return (t * 7) % self.game.n_outcomes
 
 
@@ -305,7 +313,9 @@ def _fixed_point_ufunc(Q, residual):
         total = a + b
         if total > 1e-12:
             p = np.array([a / total, b / total])
-            return p, float(np.add.reduce(np.abs(Q.dot(p) - p, out=residual)))
+            # Qp by elementwise products and a sum, each rounded: no fused multiply-add
+            np.abs(Q[:, 0] * p[0] + Q[:, 1] * p[1] - p, out=residual)
+            return p, float(np.add.reduce(residual))
     else:
         p = pmsim.engine._lapack_solve(flow_system(Q), np.eye(n)[-1], signature="dd->d")
         if np.minimum.reduce(p) >= -1e-12:
@@ -350,12 +360,14 @@ def test_fixed_point_matches_the_ufunc_reductions(monkeypatch):
         return solve
 
     def check(Q):
-        buf, ref_buf = np.full(len(Q), 7.0), np.full(len(Q), 7.0)
+        arg, buf = flow_inputs(Q.T.tolist())
+        buf[:], ref_buf = [7.0] * len(Q), np.full(len(Q), 7.0)
         with np.errstate(invalid="ignore"):
-            p, l1 = fixed_point(Q, buf)
+            p, l1, linf = fixed_point(arg, buf)
             ref_p, ref_l1 = _fixed_point_ufunc(Q, ref_buf)
-        assert _bits(p) == _bits(ref_p)
+        assert type(p) is list and _bits(p) == _bits(ref_p)
         assert l1.hex() == ref_l1.hex()
+        assert linf.hex() == float(np.maximum.reduce(ref_buf)).hex()
         assert _bits(buf) == _bits(ref_buf)
 
     monkeypatch.setattr(pmsim.engine, "_limit_from_uniform", counted_limit)
@@ -385,24 +397,39 @@ def test_fixed_point_matches_the_ufunc_reductions(monkeypatch):
 @pytest.mark.parametrize("adversary, gamma", [("adaptive", "auto"), ("adaptive", 0.0),
                                               ("uniform", "auto")])
 def test_flow_system_tracks_q_every_round(name, adversary, gamma, monkeypatch):
-    """Each round's residual is ``|Qp - p|`` for that round's Q, bit for bit.
+    """Each round's p is the array form's fixed point of the learners' q, bit for bit.
 
-    The residual maxima equal the maxima over every round's l1 and linf.
+    Its residual is ``|Qp - p|``: for N >= 3 by numpy's ``Q.dot``, on the
+    engine's own Q; for N = 2, where the engine keeps no numpy Q, on Python
+    floats from Q's rows.  The residual maxima equal the maxima over every
+    round's l1 and linf.
     """
     monkeypatch.chdir(DATA)
     game, _ = resolve_game(name)
-    engine = Engine(game, make_adversary(adversary, game), 120, EngineConfig(gamma=gamma, seed=4),
+    engine = Engine(game, make_adversary(adversary, game), 400, EngineConfig(gamma=gamma, seed=4),
                     observers=gated_report(game))
+    balance = game.n_actions == 2
+    assert isinstance(engine.Q, list) == balance
     l1, linf = [0.0], [0.0]
     while engine.t < engine.horizon:
-        Q = engine.Q.copy()  # the round rewrites one column after it solves
+        Q = np.column_stack([lr.q for lr in engine.learners])  # before invoke rewrites one
+        if not balance:
+            assert np.array_equal(engine.Q, Q), engine.t
+        expected = fixed_point(Q)
         engine.step()
-        assert np.array_equal(engine.residual, np.abs(Q.dot(engine.p) - engine.p)), engine.t
-        l1.append(float(np.add.reduce(engine.residual)))
-        linf.append(float(np.maximum.reduce(engine.residual)))
+        p = engine.p
+        assert type(p) is list and _bits(p) == _bits(expected), engine.t
+        if balance:
+            r = [abs(row[0] * p[0] + row[1] * p[1] - pi) for row, pi in zip(Q.tolist(), p)]
+        else:
+            r = np.abs(Q.dot(p) - p).tolist()
+        assert _bits(engine.residual) == _bits(r), engine.t
+        l1.append(float(np.add.reduce(r)))
+        linf.append(max(r))
     assert len(set(engine.transcript.k.tolist())) > 1  # more than one column was rewritten
     assert engine.max_flow_residual_l1.hex() == max(l1).hex()
     assert engine.max_flow_residual_linf.hex() == max(linf).hex()
+    assert engine.max_flow_residual_l1 <= FLOW_TOL
 
 
 @pytest.mark.parametrize("fault", ["sum", "negative"])

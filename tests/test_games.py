@@ -187,7 +187,7 @@ def test_every_sampler_past_the_total_returns_the_last_positive_index():
 
     adversary = IID(TENTHS + [0.0])
     adversary.bind(None, TopUniform())
-    assert adversary.next_outcome(1, []) == 9
+    assert adversary.next_outcome(1, None) == 9
 
     # symbol "z" is action 0's eleventh symbol, with weight 0 under outcome 0
     cell = {f"s{k}": w for k, w in enumerate(TENTHS)}

@@ -165,7 +165,7 @@ def state_digest(name: str) -> str:
         for values in (state.x, state.q, state.f):
             h.update(" ".join(float(v).hex() for v in values).encode())
             h.update(b";")
-    h.update(" ".join(v.hex() for v in engine.p.tolist() + [engine.eta, engine.gamma]).encode())
+    h.update(" ".join(v.hex() for v in engine.p + [engine.eta, engine.gamma]).encode())
     return h.hexdigest()
 
 
