@@ -45,6 +45,8 @@ CHECK_DIGESTS = {
         ("0cee13a7c7d1bf8b6bafb826e7e62c1e29684208e1541b78c31699f72dcb4e95", 0),
     "noisy_voronoi_n8.json":
         ("fe79ba5fbad29a280f82dcdbc72f8b134f5bd4640c67f08cf83ece88ee76d1f4", 0),
+    "own_loss_n8.json":
+        ("2c8804e24427f30998cbea038bc3b0a2ee0c7b169b748e58608a3fe0d15e04fb", 0),
     "voronoi_n16.json":
         ("c7fecd4e0762add1e0edadd590d27bd4eea2b6250ca76fbb31318fabfb54626c", 0),
     "voronoi_n16_lpfault_a.json":

@@ -6,11 +6,12 @@ neighbor tuples.  The run digests in ``test_golden.py`` see only the graph;
 these see every margin the simplex solver returns, so a change in any pivot
 or any tie-break of the solver changes a digest.
 
-Besides the catalog and the committed games, the cases hold seeded Voronoi
-games at N = 6, 10 and 16 (``voronoi_loss``), among them seed 1002, one of
-whose LPs takes the phase-1 refactor, and ``NO_TIE``, a game whose pair LPs
-include infeasible ones (margin ``-inf``) and a zero-margin face that runs
-the triple-tie check.
+Besides the catalog and the committed games (among them ``own_loss_n8.json``,
+whose 0.1-grid losses give exact ratio ties and zero pivot factors), the cases
+hold seeded Voronoi games at N = 6, 10 and 16 (``voronoi_loss``), among them
+seed 1002, one of whose LPs takes the phase-1 refactor, and ``NO_TIE``, a game
+whose pair LPs include infeasible ones (margin ``-inf``) and a zero-margin face
+that runs the triple-tie check.
 
 To regenerate after an intended change of the margins, run
 ``python tests/test_geometry_golden.py`` and paste the printed table.
@@ -42,7 +43,8 @@ def voronoi_loss(seed: int, n: int, m: int) -> np.ndarray:
 
 def _games():
     games = {entry.name: entry.game for entry in catalog()}
-    for name in ("voronoi_n16.json", "bandit3.json", "noisy_voronoi_n8.json"):
+    for name in ("voronoi_n16.json", "bandit3.json", "noisy_voronoi_n8.json",
+                 "own_loss_n8.json"):
         games[name] = load_game(os.path.join(DATA, name))
     for seed, n, m in ((6, 6, 4), (10, 10, 5), (16, 16, 6), (1002, 16, 6)):
         games[f"voronoi_s{seed}_n{n}_m{m}"] = voronoi_loss(seed, n, m)
@@ -69,6 +71,8 @@ DIGESTS = {
         "32474f16aea358ac62372e9d3cce5978b635c7528e06e18c1dc9c5aeed2f8d1d",
     "noisy_voronoi_n8.json":
         "663d08e4c44f18e3eba383a49eb40057b33c0489a167bdb8baf7efe9015404c5",
+    "own_loss_n8.json":
+        "a45b16ecf2c36b22cf3679abab753a29c20a728cac986e44fee03f2d21d91c4c",
     "voronoi_s6_n6_m4":
         "b9af048b719e2194c898e3dcad24bee799d72a34c8b7f9da3b5e82b919c508c2",
     "voronoi_s10_n10_m5":
