@@ -4,12 +4,21 @@ Solves  min c.x  subject to  A x = b,  x >= 0  for a stack of same-shape LPs
 run in lockstep, with Bland's rule so degenerate bases cannot cycle: each LP's
 minimum is ``+inf`` if it is infeasible and ``-inf`` if unbounded.  A lockstep
 step is one batched entering-column search, ratio test and pivot, and gives
-each LP the pivots it gets alone: a pivot updates only the rows with a nonzero
-factor, each by the same ``a - f*b``, and the ratio test picks the row a
-sequential scan picks, where a ratio within ``_TOL`` of the best so far
-replaces it only with a smaller basis variable.  Exact ties more than
-``2 * _TOL`` below the other ratios go to the smallest basis variable at once;
-other LPs run the scan, vectorised across LPs.
+each LP the pivots it gets alone: a pivot updates every row by the same
+``a - f*b``, except that a row with a zero factor (either sign) subtracts
++0.0, which leaves every bit of it as it was, ``-0.0`` included; and the
+ratio test picks the row a sequential scan picks, where a ratio within
+``_TOL`` of the best so far replaces it only with a smaller basis variable.
+Exact ties more than ``2 * _TOL`` below the other ratios go to the smallest
+basis variable at once; other LPs run the scan, vectorised across LPs.
+
+The LPs still running are the first ones of the stack, so a step works on
+views: an LP that stops swaps places with a running one from behind it, and
+the stack is put back in order when the phase ends.  A stack keeps one
+scratch array of its tableau's shape, which takes the pivot's products and
+the LPs moved by a swap, so no step allocates a tableau-sized array.  A
+solve's memory is thus two tableaux of at most ``_BLOCK`` LPs; longer stacks
+are solved in blocks.
 
 Phase 1's objective is bounded below by 0, so a phase-1 "unbounded" result is
 rounding drift: only then is the LP's tableau refactored once from its basis
@@ -25,24 +34,38 @@ from .errors import LPSolverError
 
 _TOL = 1e-9
 _MAX_ITERS = 10_000
-_BLOCK = 48  # LPs run in lockstep at most, which bounds a stack's scratch memory
+_BLOCK = 68  # LPs per stack at most: a solve holds two tableaux this long (N=16: 2 x 0.37 MB)
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, k, rows, cols, col: np.ndarray) -> None:
-    """Pivot LP ``k[s]`` of the stack on ``(rows[s], cols[s])``; ``col`` is
-    ``T[k, :, cols]``."""
-    a = np.arange(len(k))
-    S = T if len(k) == len(T) else T[k]
+def _pivot(S: np.ndarray, basis: np.ndarray, rows, cols, col: np.ndarray,
+           scratch: np.ndarray) -> None:
+    """Pivot every LP ``s`` of the stack ``S`` on ``(rows[s], cols[s])``; ``col`` is
+    ``S[s, :, cols[s]]`` for each s, and ``scratch`` an array of ``S``'s shape."""
+    a = np.arange(len(S))
     prow = S[a, rows]
     prow /= col[a, rows][:, None]
-    f = col[:, :, None]
-    # rows with a zero factor (either sign) are left untouched; the pivot
-    # row's own update is overwritten
-    np.subtract(S, f * prow[:, None], out=S, where=f != 0.0)
+    np.multiply(col[:, :, None], prow[:, None], out=scratch)
+    # a row with a zero factor (either sign) subtracts +0.0, which keeps every
+    # bit of it, -0.0 included; the pivot row's own update is overwritten
+    scratch[col == 0.0] = 0.0
+    np.subtract(S, scratch, out=S)
     S[a, rows] = prow
-    if S is not T:
-        T[k] = S
-    basis[k, rows] = cols
+    basis[a, rows] = cols
+
+
+def _retire(stop: np.ndarray, T: np.ndarray, scratch: np.ndarray, *stacks: np.ndarray) -> int:
+    """Swap the LPs flagged in ``stop`` (one flag per leading LP) behind the
+    others, in ``T`` through ``scratch`` and in every other stack; returns how
+    many are not flagged."""
+    keep = len(stop) - np.count_nonzero(stop)
+    holes = stop[:keep].nonzero()[0]
+    if holes.size:
+        movers = keep + np.logical_not(stop[keep:]).nonzero()[0]
+        to, fro = np.concatenate((holes, movers)), np.concatenate((movers, holes))
+        T[to] = np.take(T, fro, axis=0, out=scratch[:len(fro)], mode="clip")  # "clip": unbuffered
+        for s in stacks:
+            s[to] = s[fro]
+    return keep
 
 
 def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
@@ -52,11 +75,12 @@ def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
     np.divide(rhs, col, out=ratio, where=cand)
     best = np.minimum.reduce(ratio, axis=1, keepdims=True)
     near = ratio <= best + 2 * _TOL  # all rows of an LP without a candidate (inf <= inf)
-    if np.count_nonzero(near) == len(col) and col.shape[1] > 1:  # so one near row is its best
+    n_near = np.count_nonzero(near)
+    if n_near == len(col) and col.shape[1] > 1:  # so one near row is its best
         return near.argmax(axis=1), np.zeros(len(col), dtype=bool)
     tied = ratio == best
     leaving = np.where(tied, basis, np.inf).argmin(axis=1)
-    if np.count_nonzero(near) > np.count_nonzero(tied):  # a ratio near the best, not tied:
+    if n_near > np.count_nonzero(tied):  # a ratio near the best, not tied:
         slow = np.logical_or.reduce(near > tied, axis=1).nonzero()[0]  # scan those LPs' rows
         x_all = np.where(cand, ratio, 0.0)[slow]
         low, low_var = np.full(len(slow), np.inf), np.full(len(slow), -1)
@@ -67,30 +91,49 @@ def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
     return leaving, best[:, 0] == np.inf
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, n_cols: int, todo: np.ndarray):
+def _iterate(T: np.ndarray, basis: np.ndarray, n_cols: int, todo: np.ndarray,
+             scratch: np.ndarray):
     """Run the LPs flagged in ``todo`` in lockstep; the last tableau row is the
     reduced costs.  Returns the flags of the LPs unbounded and of those still
-    running at the iteration limit."""
-    ks = np.arange(len(T))
+    running at the iteration limit.
+
+    The running LPs are the first ``r`` of the stack: ``order[s]`` is the LP in
+    place ``s``, and the stack is put back in LP order at the end."""
+    ks, order = np.arange(len(T)), np.arange(len(T))
     unbounded = np.zeros(len(T), dtype=bool)
-    todo = todo.copy()
+    r = np.count_nonzero(todo)
+    if r < len(T):
+        _retire(~todo, T, scratch, basis, order)
+    a, S, B = ks[:r], T[:r], basis[:r]
     for _ in range(_MAX_ITERS):
-        improving = T[:, -1, :n_cols] < -_TOL
-        cols = improving.argmax(axis=1)  # Bland: first improving column
-        todo &= improving[ks, cols]
-        k = todo.nonzero()[0]
-        if not k.size:
+        if not r:
             break
-        sel = slice(None) if k.size == len(T) else k  # every LP running: views, not copies
-        cols = cols[sel]
-        col = T[k, :, cols]
-        rows, stop = _ratio_test(col[:, :-1], T[sel, :-1, -1], basis[sel])
+        improving = S[:, -1, :n_cols] < -_TOL
+        cols = improving.argmax(axis=1)  # Bland: first improving column
+        running = improving[a, cols]
+        n_run = np.count_nonzero(running)
+        if n_run < r:  # the others are optimal
+            r = _retire(~running, T, scratch, basis, order, cols) if n_run else 0
+            if not r:
+                break
+            a, S, B, cols = ks[:r], T[:r], basis[:r], cols[:r]
+        col = S[a, :, cols]
+        rows, stop = _ratio_test(col[:, :-1], S[:, :-1, -1], B)
         if np.count_nonzero(stop):
-            done, stop = k[stop], ~stop
-            unbounded[done], todo[done] = True, False
-            k, rows, cols, col = k[stop], rows[stop], cols[stop], col[stop]
-        _pivot(T, basis, k, rows, cols, col)
-    return unbounded, todo
+            unbounded[order[:r][stop]] = True
+            r = _retire(stop, T, scratch, basis, order, rows, cols, col)
+            if not r:
+                break
+            a, S, B, rows, cols, col = ks[:r], T[:r], basis[:r], rows[:r], cols[:r], col[:r]
+        _pivot(S, B, rows, cols, col, scratch[:r])
+    stuck = np.zeros(len(T), dtype=bool)
+    if r:  # the iteration limit
+        stuck[order[:r]] = True
+    moved = (order != ks).nonzero()[0]
+    if moved.size:
+        T[order[moved]] = np.take(T, moved, axis=0, out=scratch[:moved.size], mode="clip")
+        basis[order[moved]] = basis[moved]
+    return unbounded, stuck
 
 
 def _phase1(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,9 +167,10 @@ def solve_lp(c, A, b):
 
     # Phase 1: artificial basis, minimize the sum of artificials.
     T = _phase1(A, b)
+    scratch = np.empty_like(T)
     basis = np.arange(n, n + m)[None].repeat(K, axis=0)
     errors = {}
-    drifted, stuck = _iterate(T, basis, n + m, np.ones(K, dtype=bool))
+    drifted, stuck = _iterate(T, basis, n + m, np.ones(K, dtype=bool), scratch)
     if np.count_nonzero(drifted):  # bounded below by 0: the tableau has drifted
         for k in drifted.nonzero()[0].tolist():  # refactor from the starting tableau
             T0, B = _phase1(A[k:k + 1], b[k:k + 1])[0], basis[k]
@@ -136,7 +180,7 @@ def solve_lp(c, A, b):
                 errors[k], drifted[k] = f"phase 1 basis is singular on refactoring: {exc}", False
                 continue
             T[k, -1] = T0[-1] - T0[-1, B] @ T[k, :-1]
-        unbounded, again = _iterate(T, basis, n + m, drifted)
+        unbounded, again = _iterate(T, basis, n + m, drifted, scratch)
         errors.update((k, "phase 1 reported an unbounded auxiliary problem")
                       for k in unbounded.nonzero()[0].tolist())
         stuck |= again
@@ -154,7 +198,9 @@ def solve_lp(c, A, b):
             nz = np.abs(T[k, r, :n]) > _TOL
             has = np.logical_or.reduce(nz, axis=1)
             k, cols = k[has], nz[has].argmax(axis=1)
-            _pivot(T, basis, k, r, cols, T[k, :, cols])
+            S, B = T[k], basis[k]
+            _pivot(S, B, r, cols, S[np.arange(len(k)), :, cols], scratch[:len(k)])
+            T[k], basis[k] = S, B
         T[:, :-1][(basis >= n) & go[:, None]] = 0.0
 
     # Phase 2 on the original costs, reduced row by row as in a sequential
@@ -167,7 +213,7 @@ def solve_lp(c, A, b):
     for r in range(m):
         coef = cost[ks, basis[:, r]]
         cost -= coef[:, None] * T[:, r]
-    unbounded, again = _iterate(T, basis, n, go)
+    unbounded, again = _iterate(T, basis, n, go, scratch)
     if np.count_nonzero(stuck) or np.count_nonzero(again):
         errors.update((k, "simplex iteration limit exceeded")
                       for k in (stuck | again).nonzero()[0].tolist() if k not in errors)

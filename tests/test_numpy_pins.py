@@ -9,7 +9,9 @@ instead of one ``random()`` at a time.  The learner sums its weights with
 as stacks through LAPACK's ``lstsq`` gufunc instead of one
 ``np.linalg.lstsq`` per pair, with one batched product for their
 residuals, and the regret pass takes every checkpoint's ``loss @ c`` as one
-stacked ``np.matmul``.  Each pair must agree bit for bit
+stacked ``np.matmul``.  The simplex pivot subtracts ``f * b`` unmasked, with
+the product's zero-factor rows set to +0.0, instead of
+``np.subtract(..., where=f != 0.0)``.  Each pair must agree bit for bit
 (``np.array_equal``, or ``==`` on Python floats), so a numpy upgrade that
 changes one of them fails here rather than in a digest.
 """
@@ -135,6 +137,31 @@ def test_exp_of_a_list_matches_exp_in_place():
         shifted = w.tolist()
         np.exp(w, out=w)
         assert np.exp(shifted).tolist() == w.tolist(), trial
+
+
+def test_unmasked_pivot_update_matches_the_masked_subtract():
+    """``simplex._pivot``'s ``S - f*b`` with +0.0 in the zero-factor rows of the product:
+    signed-zero factors, entries and products, and LPs whose factor column is all zero."""
+    rng = np.random.default_rng(24)
+    signed_zeros = 0
+    for trial in range(400):
+        K, m, W = int(rng.integers(1, 7)), int(rng.integers(2, 19)), int(rng.integers(2, 41))
+        S = rng.normal(size=(K, m, W))
+        f, b = rng.normal(size=(K, m)), rng.normal(size=(K, W))
+        for a in (S, f, b):
+            a[rng.random(a.shape) < 0.3] = 0.0
+            a[rng.random(a.shape) < 0.3] = -0.0
+        f[rng.integers(K)] = rng.choice([0.0, -0.0], size=m)  # one LP's factor column all zero
+        masked = S.copy()
+        np.subtract(masked, f[:, :, None] * b[:, None], out=masked, where=f[:, :, None] != 0.0)
+        scratch = np.empty_like(S)
+        np.multiply(f[:, :, None], b[:, None], out=scratch)
+        scratch[f == 0.0] = 0.0
+        unmasked = S.copy()
+        np.subtract(unmasked, scratch, out=unmasked)
+        assert unmasked.tobytes() == masked.tobytes(), trial
+        signed_zeros += (S - f[:, :, None] * b[:, None]).tobytes() != masked.tobytes()
+    assert signed_zeros > 300  # without the +0.0 rows, -0.0 - (-0.0) turns entries to +0.0
 
 
 def voronoi_game(seed: int):

@@ -93,7 +93,9 @@ def test_pivot_matches_row_by_row_reference_bit_for_bit():
         T[k, rows, cols] = [rng.normal() or 1.0 for _ in k]
         ours, ref = T.copy(), T.copy()
         basis = np.tile(np.arange(m), (K, 1))
-        _pivot(ours, basis, k, rows, cols, ours[k, :, cols])
+        S, B = ours[k], basis[k]  # the scratch's contents must not matter
+        _pivot(S, B, rows, cols, S[np.arange(len(k)), :, cols], np.full_like(S, np.nan))
+        ours[k], basis[k] = S, B
         for s, row, col in zip(k, rows, cols):
             _pivot_by_rows(ref[s], row, col)
         assert ours.tobytes() == ref.tobytes()
@@ -106,8 +108,8 @@ def _iterate_flagging(flagged, calls):
     """``_iterate`` that reports the phase-1 LPs in ``flagged`` unbounded."""
     real = pmsim.simplex._iterate
 
-    def iterate(T, basis, n_cols, todo):
-        unbounded, stuck = real(T, basis, n_cols, todo)
+    def iterate(T, basis, n_cols, todo, scratch):
+        unbounded, stuck = real(T, basis, n_cols, todo, scratch)
         if n_cols == T.shape[2] - 1:  # phase 1: every column but the right-hand side
             calls.append(todo.copy())
             unbounded[flagged] |= todo[flagged]
@@ -158,7 +160,7 @@ def _random_lp(rng, kind, m, n):
     return rng.normal(size=n), A, b
 
 
-@pytest.mark.parametrize("block", [48, 3])
+@pytest.mark.parametrize("block", [pmsim.simplex._BLOCK, 48, 3, 1])
 def test_stack_gives_each_lp_its_result_alone(monkeypatch, block):
     monkeypatch.setattr(pmsim.simplex, "_BLOCK", block)
     rng = np.random.default_rng(31)
@@ -176,6 +178,23 @@ def test_stack_gives_each_lp_its_result_alone(monkeypatch, block):
             assert x[s].tobytes() == alone_x.tobytes()
             outcomes.add("optimal" if np.isfinite(value[s]) else str(value[s]))
     assert outcomes == {"optimal", "inf", "-inf"}
+
+
+def test_iterate_with_no_lp_flagged_takes_no_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a lockstep step ran with no LP flagged")
+
+    monkeypatch.setattr(pmsim.simplex, "_ratio_test", no_step)
+    monkeypatch.setattr(pmsim.simplex, "_pivot", no_step)
+    rng = np.random.default_rng(3)
+    T = rng.normal(size=(5, 4, 9))
+    T[:, -1] = -1.0  # every column improving: a step would pivot
+    basis = np.tile(np.arange(5, 8), (5, 1))
+    before, basis_before = T.tobytes(), basis.tobytes()
+    unbounded, stuck = pmsim.simplex._iterate(T, basis, 8, np.zeros(5, dtype=bool),
+                                              np.empty_like(T))
+    assert T.tobytes() == before and basis.tobytes() == basis_before
+    assert not unbounded.any() and not stuck.any()
 
 
 def _sequential_scan(col, rhs, basis):
