@@ -62,7 +62,8 @@ def _retire(stop: np.ndarray, T: np.ndarray, scratch: np.ndarray, *stacks: np.nd
     if holes.size:
         movers = keep + np.logical_not(stop[keep:]).nonzero()[0]
         to, fro = np.concatenate((holes, movers)), np.concatenate((movers, holes))
-        T[to] = np.take(T, fro, axis=0, out=scratch[:len(fro)], mode="clip")  # "clip": unbuffered
+        # mode="clip" writes straight into the scratch, where "raise" would buffer
+        T[to] = np.take(T, fro, axis=0, out=scratch[:len(fro)], mode="clip")
         for s in stacks:
             s[to] = s[fro]
     return keep
